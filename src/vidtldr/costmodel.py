@@ -1,8 +1,10 @@
-"""Analytical FLOPs model for a pre-norm transformer encoder.
+"""Reduction-schedule plan and analytical FLOPs model of a pre-norm
+transformer encoder. plan_schedule alone decides whether a schedule
+can run; config validation, the forward pass and the FLOPs model call it.
 
-Counts multiply-accumulate work as 2 FLOPs and ignores norms, biases,
-activations, and softmax (standard convention for transformer FLOPs
-tables). All arithmetic is exact Python integers.
+FLOPs count one unit per multiply-accumulate (the fvcore convention
+of published ViT FLOPs tables) and ignore norms, biases, activations,
+and softmax. All arithmetic is exact Python integers.
 
 Per layer at token count n and width C:
     attention: 4*n*C^2 (Q, K, V, output projections) + 2*n^2*C
@@ -22,7 +24,7 @@ MLP_RATIO = 4
 
 
 class InfeasibleScheduleError(ValueError):
-    """Raised when a reduction schedule drives the token count below 1."""
+    """Raised when a layer cannot remove the tokens its schedule asks for."""
 
 
 @dataclass(frozen=True)
@@ -72,41 +74,53 @@ class CostReport:
         return self.token_trajectory[-1]
 
 
-def schedule_flops(cfg: CostConfig, schedule: list[int]) -> CostReport:
-    """Total FLOPs for an encoder under a per-layer token-reduction schedule.
+def plan_schedule(n0: int, layers: int, schedule, merging: bool = False) -> list[int]:
+    """Validate a per-layer reduction schedule and zero-pad it to ``layers``.
 
-    schedule[l] tokens are removed inside layer l (0-based), after the
-    attention block and before the MLP. A schedule shorter than the
-    layer count is padded with zeros; a longer one is rejected.
-
-    Raises InfeasibleScheduleError if any layer would end below 1 token.
+    schedule[l] tokens are removed inside layer l (0-based). Raises
+    ValueError for too many entries or a negative one, and
+    InfeasibleScheduleError for a layer left below 1 token or, with
+    ``merging`` (bipartite soft matching, whose sources are the odd
+    positions), asked to merge more than floor(n/2) of its n tokens.
     """
-    if len(schedule) > cfg.layers:
-        raise ValueError(
-            f"schedule has {len(schedule)} entries for {cfg.layers} layers"
-        )
-    full = list(schedule) + [0] * (cfg.layers - len(schedule))
+    if len(schedule) > layers:
+        raise ValueError(f"schedule has {len(schedule)} entries for {layers} layers")
+    full = list(schedule) + [0] * (layers - len(schedule))
+    n = n0
     for l, r in enumerate(full):
         if r < 0:
-            raise ValueError(f"negative reduction {r} at layer {l}")
+            raise ValueError(f"schedule entries must be non-negative, got {r} at layer {l}")
+        if n - r < 1:
+            raise InfeasibleScheduleError(
+                f"infeasible schedule: layer {l} would leave {n - r} tokens"
+            )
+        if merging and r > n // 2:
+            raise InfeasibleScheduleError(
+                f"infeasible schedule: layer {l} asks to merge {r} of {n} tokens, "
+                f"bipartite matching merges at most {n // 2}"
+            )
+        n -= r
+    return full
 
+
+def schedule_flops(cfg: CostConfig, schedule) -> CostReport:
+    """Total FLOPs for an encoder under a per-layer token-reduction schedule.
+
+    The schedule is planned by plan_schedule without the merge limit.
+    Tokens leave a layer after its attention block and before its MLP.
+    """
     per_layer: list[int] = []
     trajectory: list[int] = []
     n = cfg.n0
-    total = 0
-    for l, r in enumerate(full):
+    for r in plan_schedule(cfg.n0, cfg.layers, schedule):
         n_out = n - r
-        if n_out < 1:
-            raise InfeasibleScheduleError(
-                f"infeasible schedule: layer {l} would leave {n_out} tokens"
-            )
-        fl = attention_flops(n, cfg.width) + mlp_flops(n_out, cfg.width, cfg.mlp_ratio)
-        per_layer.append(fl)
+        per_layer.append(
+            attention_flops(n, cfg.width) + mlp_flops(n_out, cfg.width, cfg.mlp_ratio)
+        )
         trajectory.append(n_out)
-        total += fl
         n = n_out
     return CostReport(
         per_layer_flops=tuple(per_layer),
-        total_flops=total,
+        total_flops=sum(per_layer),
         token_trajectory=tuple(trajectory),
     )

@@ -21,11 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import costmodel, numerics, saliency
-from ..model import NullReducer, forward_clip, init_weights
-from .clips import synth_clip
+from .. import costmodel, saliency
 from .config import ConfigError, InvariantError, load_config
-from .runner import RATIO_HEADER, compare, compute_frame_ratios, run
+from .runner import RATIO_HEADER, clean_forward, compare, compute_frame_ratios, run
 from .tensorio import dump_tensor
 
 EXIT_OK = 0
@@ -46,14 +44,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_flops(args) -> int:
     cfg = load_config(args.config)
-    spec = cfg.clip_spec()
-    report = costmodel.schedule_flops(
-        costmodel.CostConfig(n0=spec.n_tokens, width=cfg.model_width, layers=cfg.layers),
-        cfg.full_schedule(),
-    )
+    cost_cfg = cfg.cost_config()
+    report = costmodel.schedule_flops(cost_cfg, cfg.schedule)
     w = csv.writer(sys.stdout)
     w.writerow(["layer", "tokens_in", "tokens_out", "flops"])
-    n = spec.n_tokens
+    n = cost_cfg.n0
     for l, (fl, n_out) in enumerate(zip(report.per_layer_flops, report.token_trajectory)):
         w.writerow([l, n, n_out, fl])
         n = n_out
@@ -61,19 +56,9 @@ def _cmd_flops(args) -> int:
     return EXIT_OK
 
 
-def _clean_forward(cfg):
-    spec = cfg.clip_spec()
-    clip_seed, weight_seed = numerics.spawn_seeds(cfg.seed, 2)
-    synth = synth_clip(spec, clip_seed, cfg.pattern)
-    weights = init_weights(cfg.model_config(), spec, weight_seed)
-    return forward_clip(
-        synth.clip, spec, cfg.model_config(), weights, [], NullReducer(), proportional=False
-    )
-
-
 def _cmd_temporal_bias(args) -> int:
     cfg = load_config(args.config)
-    ratios = compute_frame_ratios(_clean_forward(cfg))
+    ratios = compute_frame_ratios(clean_forward(cfg)[2])
 
     buf = io.StringIO()
     w = csv.writer(buf)
@@ -93,7 +78,7 @@ def _cmd_temporal_bias(args) -> int:
 
 def _cmd_dump_saliency(args) -> int:
     cfg = load_config(args.config)
-    clean = _clean_forward(cfg)
+    clean = clean_forward(cfg)[2]
     per_layer = np.stack(
         [saliency.masked_saliency_from_map(m) for m in clean.head_mean_maps()]
     ).astype(np.float32)

@@ -25,9 +25,11 @@ Keys and defaults (run.seed is the only required key):
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..costmodel import CostConfig, plan_schedule
 from ..model import ClipSpec, ModelConfig
 
 
@@ -47,6 +49,9 @@ MODES = (
     "prune-rollout",
     "prune-sharpness",
 )
+# Modes that reduce by bipartite soft matching: they run proportional
+# attention and merge at most floor(n/2) tokens per layer.
+MERGE_MODES = ("tome", "vidtldr")
 PATTERNS = ("noise", "moving-blob", "front-loaded")
 
 DEFAULT_TEMPORAL_BIAS = 1.8
@@ -110,8 +115,10 @@ class RunConfig:
             temporal_bias=self.temporal_bias,
         )
 
-    def full_schedule(self) -> list[int]:
-        return list(self.schedule) + [0] * (self.layers - len(self.schedule))
+    def cost_config(self) -> CostConfig:
+        return CostConfig(
+            n0=self.clip_spec().n_tokens, width=self.model_width, layers=self.layers
+        )
 
     def canonical_text(self) -> str:
         """Effective config as sorted key = value lines (hash input)."""
@@ -150,9 +157,12 @@ def _parse_int(key: str, value: str) -> int:
 
 def _parse_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return x
 
 
 def _parse_bool(key: str, value: str) -> bool:
@@ -234,19 +244,12 @@ def _validate(cfg: RunConfig) -> None:
         cfg.model_config()
     except ValueError as e:
         raise InvariantError(str(e)) from None
-
-    if any(r < 0 for r in cfg.schedule):
-        raise InvariantError("run.schedule: entries must be non-negative")
-    if len(cfg.schedule) > cfg.layers:
-        raise InvariantError(
-            f"run.schedule has {len(cfg.schedule)} entries for {cfg.layers} layers"
-        )
+    try:
+        plan_schedule(spec.n_tokens, cfg.layers, cfg.schedule, cfg.mode in MERGE_MODES)
+    except ValueError as e:
+        raise InvariantError(f"run.schedule: {e}") from None
     if cfg.mode == "baseline" and any(r != 0 for r in cfg.schedule):
         raise InvariantError("baseline mode requires a zero schedule")
-    if sum(cfg.schedule) >= spec.n_tokens:
-        raise InvariantError(
-            f"infeasible schedule: removes {sum(cfg.schedule)} of {spec.n_tokens} tokens"
-        )
 
 
 def load_config(path) -> RunConfig:

@@ -8,7 +8,8 @@ its artifacts under <out.dir>/<run_id>/:
     config.txt       effective config, canonical form (the run_id hash input)
     metrics.csv      one row per layer: counts, FLOPs, saliency, wall time
     frame_ratio.csv  per-frame score ratios of the three estimators
-    mass.csv         final mass per original tube (mass / provenance size)
+    mass.csv         final mass per original tube (mass / provenance size;
+                     exactly 0.0 for tubes a prune mode dropped)
     pooled.vtdr      mass-weighted mean of the final token features
     attention_l*.vtdr, tokens.vtdr, masses.vtdr   (optional dumps)
 
@@ -28,6 +29,7 @@ from .. import costmodel, numerics, saliency
 from ..merging import TokenState
 from ..model import (
     ForwardResult,
+    ModelWeights,
     NullReducer,
     PruneReducer,
     TomeReducer,
@@ -36,7 +38,7 @@ from ..model import (
     init_weights,
 )
 from .clips import SynthClip, synth_clip
-from .config import InvariantError, RunConfig, load_config
+from .config import MERGE_MODES, InvariantError, RunConfig, load_config
 from .tensorio import dump_tensor, load_tensor
 
 METRICS_HEADER = ["run_id", "mode", "layer", "token_count", "flops", "mean_saliency", "wall_ms"]
@@ -125,31 +127,37 @@ def compute_frame_ratios(clean: ForwardResult) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def run(cfg: RunConfig) -> RunResult:
-    """Execute one configured run and write its artifacts."""
+def clean_forward(cfg: RunConfig) -> tuple[SynthClip, ModelWeights, ForwardResult]:
+    """Build a run's clip and weights and its no-reduction forward.
+
+    run.seed derives two child seeds, one for the clip voxels and one
+    for the model weights.
+    """
     spec = cfg.clip_spec()
     model_cfg = cfg.model_config()
     clip_seed, weight_seed = numerics.spawn_seeds(cfg.seed, 2)
     synth = synth_clip(spec, clip_seed, cfg.pattern)
     weights = init_weights(model_cfg, spec, weight_seed)
-
     clean = forward_clip(
         synth.clip, spec, model_cfg, weights, [], NullReducer(), proportional=False
     )
+    return synth, weights, clean
+
+
+def run(cfg: RunConfig) -> RunResult:
+    """Execute one configured run and write its artifacts."""
+    spec = cfg.clip_spec()
+    synth, weights, clean = clean_forward(cfg)
     if cfg.mode == "baseline":
         result = clean
     else:
         reducer = build_reducer(cfg.mode, clean.head_mean_maps())
-        proportional = cfg.mode in ("tome", "vidtldr")
         result = forward_clip(
-            synth.clip, spec, model_cfg, weights,
-            cfg.full_schedule(), reducer, proportional,
+            synth.clip, spec, cfg.model_config(), weights,
+            cfg.schedule, reducer, proportional=cfg.mode in MERGE_MODES,
         )
 
-    cost = costmodel.schedule_flops(
-        costmodel.CostConfig(n0=spec.n_tokens, width=model_cfg.width, layers=model_cfg.layers),
-        cfg.full_schedule(),
-    )
+    cost = costmodel.schedule_flops(cfg.cost_config(), cfg.schedule)
     observed = tuple(tr.tokens_out for tr in result.traces)
     if observed != cost.token_trajectory:
         raise RuntimeError(
@@ -181,7 +189,7 @@ def run(cfg: RunConfig) -> RunResult:
             w.writerow([g, _fmt(ratios[g, 0]), _fmt(ratios[g, 1]), _fmt(ratios[g, 2])])
 
     final = result.final_state
-    tube_share = np.empty(spec.n_tokens, dtype=np.float64)
+    tube_share = np.zeros(spec.n_tokens, dtype=np.float64)
     for mass, tubes in zip(final.masses, final.provenance):
         for t in tubes:
             tube_share[t] = mass / len(tubes)

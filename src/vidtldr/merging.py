@@ -110,11 +110,9 @@ class MatchResult:
     ones (-1 for merged-away sources).
     """
 
-    part: Bipartition
     merges: tuple[tuple[int, int, float], ...]
     groups: tuple[tuple[int, ...], ...]
     survivors: np.ndarray
-    r: int
 
 
 def soft_match(keys, part: Bipartition, r: int) -> MatchResult:
@@ -162,9 +160,7 @@ def soft_match(keys, part: Bipartition, r: int) -> MatchResult:
         survivors[i] = new
         groups.append(tuple([i] + sorted(merged_into.get(i, []))))
         new += 1
-    return MatchResult(
-        part=part, merges=merges, groups=tuple(groups), survivors=survivors, r=r
-    )
+    return MatchResult(merges=merges, groups=tuple(groups), survivors=survivors)
 
 
 def vidtldr_mass_update(state: TokenState, part: Bipartition, masked) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import erf
 
 from . import merging, numerics, saliency
-from .costmodel import MLP_RATIO, InfeasibleScheduleError
+from .costmodel import MLP_RATIO, plan_schedule
 
 WEIGHT_STD = 0.02
 QK_COUPLING = 0.7
@@ -193,7 +193,6 @@ def embed_clip(clip: np.ndarray, spec: ClipSpec, weights: ModelWeights) -> mergi
 class AttentionMaps:
     """One layer's attention tensors, plus the keys for matching."""
 
-    logits: np.ndarray           # (heads, n, n) float32, pre-softmax, biases included
     probs: np.ndarray            # (heads, n, n) float32, row-stochastic
     head_mean_probs: np.ndarray  # (n, n) float32, arithmetic mean over heads
     keys: np.ndarray             # (n, width) float32, heads concatenated
@@ -243,14 +242,12 @@ def attention_forward(
 
     d = cfg.head_dim
     scale = 1.0 / math.sqrt(d)
-    logits = np.empty((cfg.heads, n, n), dtype=np.float32)
     probs = np.empty((cfg.heads, n, n), dtype=np.float32)
     heads_out = []
     for h in range(cfg.heads):
         sl = slice(h * d, (h + 1) * d)
         lg = numerics.matmul(q[:, sl], k[:, sl].T).astype(np.float64) * scale
         lg += bias[None, :]
-        logits[h] = lg.astype(np.float32)
         p = numerics.row_softmax(lg)
         probs[h] = p
         heads_out.append(numerics.matmul(p, v[:, sl]))
@@ -258,7 +255,7 @@ def attention_forward(
     out = numerics.matmul(merged_heads, lw.wo)
     new_features = (x.astype(np.float64) + out.astype(np.float64)).astype(np.float32)
     head_mean = probs.astype(np.float64).mean(axis=0).astype(np.float32)
-    maps = AttentionMaps(logits=logits, probs=probs, head_mean_probs=head_mean, keys=k)
+    maps = AttentionMaps(probs=probs, head_mean_probs=head_mean, keys=k)
     return state.with_features(new_features), maps
 
 
@@ -286,6 +283,8 @@ class NullReducer:
 class TomeReducer:
     """Plain bipartite soft matching with mass-weighted merging."""
 
+    merging = True
+
     def reduce(self, state, maps, r, layer):
         part = merging.bipartition(state.count)
         match = merging.soft_match(maps.keys, part, r)
@@ -294,6 +293,8 @@ class TomeReducer:
 
 class VidTldrReducer:
     """Saliency-aware merging driven by the layer's own attention map."""
+
+    merging = True
 
     def reduce(self, state, maps, r, layer):
         scores = saliency.masked_saliency_from_map(maps.head_mean_probs)
@@ -336,15 +337,6 @@ class ForwardResult:
         return [tr.maps.head_mean_probs for tr in self.traces]
 
 
-def pad_schedule(schedule: list[int], layers: int) -> list[int]:
-    """Zero-pad a per-layer reduction schedule; reject oversized ones."""
-    if len(schedule) > layers:
-        raise ValueError(f"schedule has {len(schedule)} entries for {layers} layers")
-    if any(r < 0 for r in schedule):
-        raise ValueError("schedule entries must be non-negative")
-    return list(schedule) + [0] * (layers - len(schedule))
-
-
 def forward_clip(
     clip: np.ndarray,
     spec: ClipSpec,
@@ -357,20 +349,18 @@ def forward_clip(
     """Run the encoder over a clip, reducing tokens per the schedule.
 
     Layer l removes schedule[l] tokens between its attention block and
-    its MLP. Raises InfeasibleScheduleError if the count would drop
-    below one token.
+    its MLP. costmodel.plan_schedule checks the schedule up front, with
+    the floor(n/2) merge limit for a reducer whose ``merging`` is true.
     """
-    full = pad_schedule(schedule, cfg.layers)
+    full = plan_schedule(
+        spec.n_tokens, cfg.layers, schedule, merging=getattr(reducer, "merging", False)
+    )
     state = embed_clip(clip, spec, weights)
     tube_groups = spec.tube_frame_groups()
     traces = []
     for layer, (lw, r) in enumerate(zip(weights.layers, full)):
         t0 = time.perf_counter()
         n_in = state.count
-        if n_in - r < 1:
-            raise InfeasibleScheduleError(
-                f"infeasible schedule: layer {layer} would leave {n_in - r} tokens"
-            )
         state, maps = attention_forward(
             state, lw, cfg, tube_groups, spec.n_groups, proportional
         )

@@ -121,21 +121,18 @@ def masked_saliency(raw, mask, mean: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SaliencyScores:
-    """Raw, masked, and bookkeeping values of one map's saliency."""
+    """Raw, mask, and masked values of one map's saliency."""
 
     raw: np.ndarray     # s, min-max normalized sharpness
     mask: np.ndarray    # M, boolean foreground indicator
     masked: np.ndarray  # s-hat, background-suppressed and rescaled
-    mean_raw: float     # the threshold the mask cut at
 
 
 def score_map(head_mean_probs) -> SaliencyScores:
     """Full sharpness/mask/masked pipeline over one attention map."""
     raw = sharpness_saliency(head_mean_probs)
     mask, mean = background_mask(raw)
-    return SaliencyScores(
-        raw=raw, mask=mask, masked=masked_saliency(raw, mask, mean), mean_raw=mean
-    )
+    return SaliencyScores(raw=raw, mask=mask, masked=masked_saliency(raw, mask, mean))
 
 
 def masked_saliency_from_map(head_mean_probs) -> np.ndarray:

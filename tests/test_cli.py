@@ -112,6 +112,10 @@ def test_config_error_exit_code(tmp_path, capsys):
     bad.write_text(BASE + "run.seed = 3\nrun.colour = blue\n")
     assert cli.main(["run", str(bad)]) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    nan = write_cfg(tmp_path, "nan.cfg", extra="model.temporal_bias = nan\n")
+    assert cli.main(["run", str(nan)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
 
 
 def test_invariant_exit_code(tmp_path, capsys):
@@ -121,6 +125,14 @@ def test_invariant_exit_code(tmp_path, capsys):
     geom = tmp_path / "geom.cfg"
     geom.write_text("run.seed = 1\nclip.frames = 7\n")
     assert cli.main(["flops", str(geom)]) == cli.EXIT_INVARIANT
+    # desk shape, 64 tokens: merging 40 exceeds the 32 bipartite sources
+    merge = tmp_path / "merge.cfg"
+    merge.write_text("run.seed = 1\nrun.mode = tome\nrun.schedule = 40\n")
+    capsys.readouterr()
+    for command in ("run", "flops"):
+        assert cli.main([command, str(merge)]) == cli.EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation") and err.count("\n") == 1
 
 
 def test_compare_single_dir_exit_code(tmp_path, capsys):

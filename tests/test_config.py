@@ -1,5 +1,6 @@
 import pytest
 
+from vidtldr.costmodel import plan_schedule
 from vidtldr.harness import config
 from vidtldr.harness.config import ConfigError, InvariantError, parse_config_text
 
@@ -50,6 +51,9 @@ def test_type_errors():
         parse_config_text("run.seed = 1\nclip.frames = 2.5\n")
     with pytest.raises(ConfigError):
         parse_config_text("run.seed = 1\nmodel.temporal_bias = warm\n")
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config_text(f"run.seed = 1\nmodel.temporal_bias = {value}\n")
     with pytest.raises(ConfigError):
         parse_config_text("run.seed = 1\ndump.tokens = yes\n")
     with pytest.raises(ConfigError):
@@ -66,7 +70,7 @@ def test_enum_validation():
 def test_schedule_parsing():
     cfg = parse_config_text("run.seed = 1\nrun.mode = tome\nrun.schedule = 4, 4, 0, 2\n")
     assert cfg.schedule == (4, 4, 0, 2)
-    assert cfg.full_schedule() == [4, 4, 0, 2, 0, 0, 0, 0]
+    assert plan_schedule(64, cfg.layers, cfg.schedule, merging=True) == [4, 4, 0, 2, 0, 0, 0, 0]
 
 
 def test_geometry_invariants_mapped_to_invariant_error():
@@ -91,8 +95,18 @@ def test_infeasible_schedule_rejected():
     # desk config has 64 tokens
     with pytest.raises(InvariantError, match="infeasible schedule"):
         parse_config_text("run.seed = 1\nrun.mode = tome\nrun.schedule = 32,32\n")
-    cfg = parse_config_text("run.seed = 1\nrun.mode = tome\nrun.schedule = 32,31\n")
+    with pytest.raises(InvariantError, match="infeasible schedule"):
+        parse_config_text("run.seed = 1\nrun.mode = prune-rollout\nrun.schedule = 32,32\n")
+    # a prune mode may leave exactly one token
+    cfg = parse_config_text("run.seed = 1\nrun.mode = prune-rollout\nrun.schedule = 32,31\n")
     assert sum(cfg.schedule) == 63
+    # bipartite merging removes at most floor(n/2) tokens per layer
+    for mode in ("tome", "vidtldr"):
+        for schedule in ("32,31", "40"):
+            with pytest.raises(InvariantError, match="infeasible schedule"):
+                parse_config_text(
+                    f"run.seed = 1\nrun.mode = {mode}\nrun.schedule = {schedule}\n"
+                )
 
 
 def test_large_geometry_schedule_accepted():
@@ -104,7 +118,7 @@ def test_large_geometry_schedule_accepted():
     )
     cfg = parse_config_text(text)
     assert cfg.clip_spec().n_tokens == 900
-    assert cfg.full_schedule()[:4] == [100, 100, 100, 0]
+    assert plan_schedule(900, cfg.layers, cfg.schedule, merging=True)[:4] == [100, 100, 100, 0]
 
 
 def test_canonical_text_sorted_and_complete():

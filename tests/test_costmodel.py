@@ -87,6 +87,28 @@ def test_results_are_exact_ints():
     assert all(isinstance(f, int) for f in report.per_layer_flops)
 
 
+def test_plan_schedule_pads():
+    assert costmodel.plan_schedule(8, 4, [1, 2]) == [1, 2, 0, 0]
+    assert costmodel.plan_schedule(8, 4, (1, 2), merging=True) == [1, 2, 0, 0]
+    with pytest.raises(ValueError):
+        costmodel.plan_schedule(8, 4, [1] * 5)
+    with pytest.raises(ValueError):
+        costmodel.plan_schedule(8, 4, [-1])
+
+
+def test_plan_schedule_merge_limit():
+    # bipartite matching has floor(n/2) sources: 4 of 8, then 2 of 4
+    assert costmodel.plan_schedule(8, 3, [4, 2], merging=True) == [4, 2, 0]
+    assert costmodel.plan_schedule(9, 1, [4], merging=True) == [4]
+    for schedule in ([5], [4, 3], [0, 0, 5]):
+        with pytest.raises(InfeasibleScheduleError, match="merge"):
+            costmodel.plan_schedule(8, 3, schedule, merging=True)
+    # without merging, only the one-token floor applies
+    assert costmodel.plan_schedule(8, 3, [4, 3], merging=False) == [4, 3, 0]
+    with pytest.raises(InfeasibleScheduleError):
+        costmodel.plan_schedule(8, 3, [4, 4])
+
+
 def test_schedule_validation():
     cfg = CostConfig(n0=16, width=8, layers=3)
     with pytest.raises(ValueError):

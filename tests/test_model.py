@@ -298,6 +298,12 @@ def test_forward_infeasible_schedule():
     cfg, clip, weights = small_setup(37)
     with pytest.raises(InfeasibleScheduleError):
         model.forward_clip(clip, SMALL, cfg, weights, [4, 4], model.TomeReducer(), True)
+    # merging reducers are planned with the floor(n/2) limit, pruning is not
+    with pytest.raises(InfeasibleScheduleError, match="merge"):
+        model.forward_clip(clip, SMALL, cfg, weights, [5], model.TomeReducer(), True)
+    pruner = model.PruneReducer(lambda state, maps, layer: state.masses)
+    res = model.forward_clip(clip, SMALL, cfg, weights, [5], pruner, False)
+    assert res.final_state.count == 3
     with pytest.raises(ValueError):
         model.forward_clip(clip, SMALL, cfg, weights, [1] * 4, model.TomeReducer(), True)
 
@@ -327,11 +333,3 @@ def test_reducers_produce_expected_counts():
     ):
         res = model.forward_clip(clip, SMALL, cfg, weights, [2, 1], reducer, False)
         assert res.final_state.count == 5
-
-
-def test_pad_schedule():
-    assert model.pad_schedule([1, 2], 4) == [1, 2, 0, 0]
-    with pytest.raises(ValueError):
-        model.pad_schedule([1] * 5, 4)
-    with pytest.raises(ValueError):
-        model.pad_schedule([-1], 4)

@@ -2,11 +2,13 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from vidtldr import costmodel
 from vidtldr.harness import runner, tensorio
-from vidtldr.harness.config import InvariantError, parse_config_text
+from vidtldr.harness.config import MERGE_MODES, MODES, InvariantError, parse_config_text
 
 # 8 tokens, 4 layers: small enough that a run is a few milliseconds
 BASE = """\
@@ -86,6 +88,53 @@ def test_mass_csv_accounts_for_all_mass(tmp_path):
     assert share_total == pytest.approx(float(res.final_state.masses.sum()), abs=1e-9)
     assert [int(r["tube_index"]) for r in rows] == list(range(8))
     assert [int(r["frame_group"]) for r in rows] == [0, 0, 0, 0, 1, 1, 1, 1]
+
+
+def test_pruned_tubes_have_zero_mass(tmp_path):
+    for mode in ("prune-attentiveness", "prune-rollout", "prune-sharpness"):
+        res = runner.run(make_cfg(tmp_path, mode=mode))
+        kept = {t for tubes in res.final_state.provenance for t in tubes}
+        rows = read_csv(res.out_dir / "mass.csv")
+        pruned = [r["mass_share"] for r in rows if int(r["tube_index"]) not in kept]
+        assert pruned == ["0.0"] * 4, mode
+
+
+# 16 tokens (2 frame groups x 2 x 4 patches), width 16, 4 layers
+TINY = """\
+clip.frames = 4
+clip.height = 32
+clip.width = 64
+model.width = 16
+model.heads = 2
+model.layers = 4
+run.seed = 5
+"""
+
+
+@settings(max_examples=20, deadline=None)
+@given(mode=st.sampled_from(MODES), schedule=st.lists(st.integers(0, 12), max_size=4))
+@example(mode="tome", schedule=[9])
+@example(mode="vidtldr", schedule=[8, 5])
+@example(mode="prune-sharpness", schedule=[12, 3])
+def test_accepted_configs_run_to_plan(tmp_path_factory, mode, schedule):
+    text = TINY + (
+        f"run.mode = {mode}\nrun.schedule = {','.join(map(str, schedule))}\n"
+        f"out.dir = {tmp_path_factory.getbasetemp() / 'plan'}\n"
+    )
+    try:
+        plan = costmodel.plan_schedule(16, 4, schedule, merging=mode in MERGE_MODES)
+    except ValueError:
+        plan = None
+    if plan is None or (mode == "baseline" and any(schedule)):
+        with pytest.raises(InvariantError):
+            parse_config_text(text)
+        return
+    res = runner.run(parse_config_text(text))
+    trajectory, n = [], 16
+    for r in plan:
+        n -= r
+        trajectory.append(n)
+    assert [tr.tokens_out for tr in res.result.traces] == trajectory
 
 
 def test_pooled_tensor_shape(tmp_path):
