@@ -58,7 +58,8 @@ def _cmd_flops(args) -> int:
 
 def _cmd_temporal_bias(args) -> int:
     cfg = load_config(args.config)
-    ratios = compute_frame_ratios(clean_forward(cfg)[2])
+    clean = clean_forward(cfg)[2]
+    ratios = compute_frame_ratios(clean, saliency.attention_rollout(clean.head_mean_maps()))
 
     buf = io.StringIO()
     w = csv.writer(buf)

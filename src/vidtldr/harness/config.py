@@ -12,7 +12,7 @@ Keys and defaults (run.seed is the only required key):
     clip.tube = 2            clip.patch = 16        clip.channels = 3
     clip.pattern = noise     (noise | moving-blob | front-loaded)
     model.width = 64         model.heads = 4        model.layers = 8
-    model.temporal_bias = 1.8
+    model.temporal_bias = 1.8   (finite, |value| <= 1e30)
     run.mode = baseline      (baseline | tome | vidtldr |
                               prune-attentiveness | prune-rollout |
                               prune-sharpness)
@@ -55,6 +55,9 @@ MERGE_MODES = ("tome", "vidtldr")
 PATTERNS = ("noise", "moving-blob", "front-loaded")
 
 DEFAULT_TEMPORAL_BIAS = 1.8
+# Largest accepted float magnitude: the temporal bias enters attention
+# logits that softmax rounds to float32 (max ~3.4e38).
+MAX_FLOAT = 1e30
 
 _DEFAULTS: dict[str, str] = {
     "clip.frames": "8",
@@ -160,8 +163,10 @@ def _parse_float(key: str, value: str) -> float:
         x = float(value)
     except ValueError:
         x = math.nan
-    if not math.isfinite(x):
-        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    if not abs(x) <= MAX_FLOAT:  # also rejects nan
+        raise ConfigError(
+            f"{key}: expected a finite number of magnitude <= {MAX_FLOAT:g}, got {value!r}"
+        )
     return x
 
 

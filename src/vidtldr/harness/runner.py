@@ -58,22 +58,8 @@ def pooled_features(state: TokenState) -> np.ndarray:
     return (num / w.sum()).astype(np.float32)[None, :]
 
 
-def _rollout_prune_reducer(clean_maps: list[np.ndarray]):
-    tables = [
-        saliency.attention_rollout(clean_maps, from_layer=l)
-        for l in range(len(clean_maps))
-    ]
-
-    def score(state: TokenState, maps, layer: int) -> np.ndarray:
-        table = tables[layer]
-        return np.array(
-            [table[list(tubes)].mean() for tubes in state.provenance], dtype=np.float64
-        )
-
-    return PruneReducer(score)
-
-
-def build_reducer(mode: str, clean_maps: list[np.ndarray]):
+def build_reducer(mode: str, rollout: np.ndarray):
+    """The mode's reducer; ``rollout`` is the clean forward's rollout table."""
     if mode == "baseline":
         return NullReducer()
     if mode == "tome":
@@ -89,7 +75,11 @@ def build_reducer(mode: str, clean_maps: list[np.ndarray]):
             lambda state, maps, layer: saliency.sharpness_saliency(maps.head_mean_probs)
         )
     if mode == "prune-rollout":
-        return _rollout_prune_reducer(clean_maps)
+        return PruneReducer(
+            lambda state, maps, layer: np.array(
+                [rollout[layer][list(tubes)].mean() for tubes in state.provenance]
+            )
+        )
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -108,20 +98,20 @@ class RunResult:
         return self.result.final_state
 
 
-def compute_frame_ratios(clean: ForwardResult) -> np.ndarray:
+def compute_frame_ratios(clean: ForwardResult, rollout: np.ndarray) -> np.ndarray:
     """Per-frame ratios of the three estimators at the first layer.
 
-    Returns an (n_groups, 3) array: attentiveness, rollout (from layer
-    0 through the last), and masked sharpness saliency, all measured on
+    Returns an (n_groups, 3) array: attentiveness, rollout (row 0 of
+    the clean forward's ``attention_rollout`` table, from layer 0
+    through the last), and masked sharpness saliency, all measured on
     the no-reduction forward.
     """
     first = clean.traces[0].maps.head_mean_probs
-    maps = clean.head_mean_maps()
     frame_of = clean.spec.tube_frame_groups()
     g = clean.spec.n_groups
     cols = [
         saliency.frame_score_ratio(saliency.attentiveness(first), frame_of, g),
-        saliency.frame_score_ratio(saliency.attention_rollout(maps, 0), frame_of, g),
+        saliency.frame_score_ratio(rollout[0], frame_of, g),
         saliency.frame_score_ratio(saliency.masked_saliency_from_map(first), frame_of, g),
     ]
     return np.stack(cols, axis=1)
@@ -148,10 +138,11 @@ def run(cfg: RunConfig) -> RunResult:
     """Execute one configured run and write its artifacts."""
     spec = cfg.clip_spec()
     synth, weights, clean = clean_forward(cfg)
+    rollout = saliency.attention_rollout(clean.head_mean_maps())
     if cfg.mode == "baseline":
         result = clean
     else:
-        reducer = build_reducer(cfg.mode, clean.head_mean_maps())
+        reducer = build_reducer(cfg.mode, rollout)
         result = forward_clip(
             synth.clip, spec, cfg.model_config(), weights,
             cfg.schedule, reducer, proportional=cfg.mode in MERGE_MODES,
@@ -181,7 +172,7 @@ def run(cfg: RunConfig) -> RunResult:
                 cost.per_layer_flops[l], _fmt(mean_sal), _fmt(tr.wall_ms),
             ])
 
-    ratios = compute_frame_ratios(clean)
+    ratios = compute_frame_ratios(clean, rollout)
     with open(out_dir / "frame_ratio.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(RATIO_HEADER)

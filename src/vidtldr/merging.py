@@ -131,36 +131,22 @@ def soft_match(keys, part: Bipartition, r: int) -> MatchResult:
     if r > src.shape[0]:
         raise ValueError(f"cannot merge {r} of {src.shape[0]} source tokens")
 
-    scores = np.empty(src.shape[0], dtype=np.float64)
-    best = np.empty(src.shape[0], dtype=np.int64)
-    for i, s in enumerate(src):
-        sims = np.array(
-            [numerics.cosine_sim(k[s], k[d]) for d in dst], dtype=np.float64
-        )
-        j = int(np.argmax(sims))  # argmax takes the first max: lowest dst wins ties
-        scores[i] = sims[j]
-        best[i] = dst[j]
+    sims = numerics.cosine_matrix(k[src], k[dst])
+    j = np.argmax(sims, axis=1)  # argmax takes the first max: lowest dst wins ties
+    scores = sims[np.arange(src.shape[0]), j]
+    best = dst[j]
 
-    order = sorted(range(src.shape[0]), key=lambda i: (-scores[i], src[i]))
-    chosen = order[:r]
+    chosen = np.lexsort((src, -scores))[:r]  # by (-score, src)
     merges = tuple((int(src[i]), int(best[i]), float(scores[i])) for i in chosen)
 
-    n = k.shape[0]
-    merged_into: dict[int, list[int]] = {}
-    for s, d, _ in merges:
-        merged_into.setdefault(d, []).append(s)
-    merged_away = {s for s, _, _ in merges}
-
-    survivors = np.full(n, -1, dtype=np.int64)
-    groups = []
-    new = 0
-    for i in range(n):
-        if i in merged_away:
-            continue
-        survivors[i] = new
-        groups.append(tuple([i] + sorted(merged_into.get(i, []))))
-        new += 1
-    return MatchResult(merges=merges, groups=tuple(groups), survivors=survivors)
+    keep = np.ones(k.shape[0], dtype=bool)
+    keep[src[chosen]] = False
+    members = [[i] for i in range(k.shape[0])]
+    for s, d, _ in sorted(merges):  # each group lists its sources in increasing position
+        members[d].append(s)
+    groups = tuple(tuple(members[i]) for i in np.flatnonzero(keep))
+    survivors = np.where(keep, np.cumsum(keep) - 1, -1)
+    return MatchResult(merges=merges, groups=groups, survivors=survivors)
 
 
 def vidtldr_mass_update(state: TokenState, part: Bipartition, masked) -> np.ndarray:

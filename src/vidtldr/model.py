@@ -201,9 +201,11 @@ class AttentionMaps:
 def mean_frame_groups(state: merging.TokenState, tube_groups: np.ndarray) -> np.ndarray:
     """Mean original frame group of each live token (float64)."""
     groups = np.asarray(tube_groups, dtype=np.float64)
-    return np.array(
-        [groups[list(tubes)].mean() for tubes in state.provenance], dtype=np.float64
-    )
+    sizes = np.array([len(tubes) for tubes in state.provenance], dtype=np.int64)
+    tubes = np.concatenate(state.provenance)
+    owner = np.repeat(np.arange(state.count), sizes)
+    # Group indices are small integers, so these sums are exact.
+    return np.bincount(owner, weights=groups[tubes], minlength=state.count) / sizes
 
 
 def temporal_bias_values(mean_groups: np.ndarray, n_groups: int, tau: float) -> np.ndarray:

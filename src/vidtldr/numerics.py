@@ -1,15 +1,16 @@
 """Deterministic numerics kernel.
 
 Every routine in this module is bit-reproducible: same inputs give the
-same float32 outputs on every call in a process and across runs on the
-same platform. Matrices are stored as float32 and all reductions
-accumulate in float64 with a fixed summation order, so results do not
-depend on BLAS threading or vectorization choices.
+same outputs on every call in a process and across runs on the same
+platform. Matrices are stored as float32 and reductions accumulate in
+float64 with a fixed summation order.
 
-``matmul`` in particular is defined to equal the naive triple loop
-(k innermost, float64 accumulator) bit for bit. It is implemented as a
-k-ordered sum of rank-1 outer products, which performs the identical
-sequence of IEEE-754 operations per output element.
+``matmul`` and ``cosine_matrix`` share one kernel, a float64 accumulator
+that adds the products of each k in increasing k. So ``matmul`` equals
+the naive triple loop bit for bit, and each dot product and norm of
+``cosine_matrix`` (and ``cosine_sim``, its one-pair case) equals a plain
+loop over k. No BLAS reduction remains here; ``row_softmax`` and
+``row_neg_entropy`` use numpy's pairwise row sums.
 """
 
 from __future__ import annotations
@@ -34,6 +35,14 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _k_ordered_sum(a64: np.ndarray, b64: np.ndarray) -> np.ndarray:
+    """Float64 sum of the broadcast products a64[k] * b64[k], in increasing k."""
+    acc = np.zeros(np.broadcast_shapes(a64.shape[1:], b64.shape[1:]), dtype=np.float64)
+    for x, y in zip(a64, b64):
+        acc += x * y
+    return acc
+
+
 def matmul(a, b) -> np.ndarray:
     """Multiply two matrices with fixed-order float64 accumulation.
 
@@ -51,10 +60,7 @@ def matmul(a, b) -> np.ndarray:
         )
     a64 = am.astype(np.float64)
     b64 = bm.astype(np.float64)
-    acc = np.zeros((am.shape[0], bm.shape[1]), dtype=np.float64)
-    for k in range(am.shape[1]):
-        acc += np.multiply.outer(a64[:, k], b64[k, :])
-    out = acc.astype(np.float32)
+    out = _k_ordered_sum(a64.T[:, :, None], b64[:, None, :]).astype(np.float32)
     if not np.isfinite(out).all():
         raise FloatingPointError("matmul produced non-finite values")
     return out
@@ -101,20 +107,31 @@ def row_neg_entropy(p) -> np.ndarray:
     return np.clip(vals, -np.log(float(n)), 0.0).astype(np.float64)
 
 
+def cosine_matrix(a, b) -> np.ndarray:
+    """(m, n) float64 cosine similarity of each row of ``a`` with each row of ``b``.
+
+    Dots and norms are k-ordered float64 sums. An entry is 0.0 where
+    either row's norm is below 1e-12.
+    """
+    a64 = np.asarray(a, dtype=np.float64)
+    b64 = np.asarray(b, dtype=np.float64)
+    if a64.ndim != 2 or b64.ndim != 2 or a64.shape[1] != b64.shape[1]:
+        raise ValueError(f"cosine_matrix width mismatch: {a64.shape} vs {b64.shape}")
+    at, bt = a64.T, b64.T
+    dots = _k_ordered_sum(at[:, :, None], bt[:, None, :])
+    na = np.sqrt(_k_ordered_sum(at, at))[:, None]
+    nb = np.sqrt(_k_ordered_sum(bt, bt))[None, :]
+    flat = (na < COSINE_NORM_EPS) | (nb < COSINE_NORM_EPS)
+    return np.where(flat, 0.0, dots / np.where(flat, 1.0, na * nb))
+
+
 def cosine_sim(u, v) -> float:
     """Cosine similarity of two 1-D vectors in float64.
 
-    Returns 0.0 if either vector has norm below 1e-12.
+    The one-pair case of ``cosine_matrix``: returns 0.0 if either
+    vector has norm below 1e-12.
     """
-    u64 = np.asarray(u, dtype=np.float64).reshape(-1)
-    v64 = np.asarray(v, dtype=np.float64).reshape(-1)
-    if u64.shape != v64.shape:
-        raise ValueError(f"cosine_sim length mismatch: {u64.shape} vs {v64.shape}")
-    nu = float(np.sqrt(np.dot(u64, u64)))
-    nv = float(np.sqrt(np.dot(v64, v64)))
-    if nu < COSINE_NORM_EPS or nv < COSINE_NORM_EPS:
-        return 0.0
-    return float(np.dot(u64, v64) / (nu * nv))
+    return float(cosine_matrix(np.reshape(u, (1, -1)), np.reshape(v, (1, -1)))[0, 0])
 
 
 def make_rng(seed: int) -> np.random.Generator:

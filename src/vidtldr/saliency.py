@@ -4,13 +4,15 @@ Three per-token scores over a square, row-stochastic attention map:
 
 * attentiveness: column mean, how much attention a token receives.
 * rollout: column mean of the product of head-averaged maps from the
-  last layer down to a target layer, the classic relevance propagation.
+  last layer down to each target layer, the classic relevance
+  propagation, from one chain of products P_l = P_{l+1} M_l.
 * sharpness saliency: min-max normalized negative row entropy, how
   focused a token's outgoing attention is. Background suppression
   zeroes tokens at or below the mean score and rescales the rest, and
   the result is what drives saliency-aware merging.
 
-All scores are float64 vectors; maps are float32 matrices.
+Scores are float64 (rollout: a (layers, n) table, one row per target
+layer); maps are float32 matrices.
 """
 
 from __future__ import annotations
@@ -43,31 +45,26 @@ def attentiveness(probs) -> np.ndarray:
     return m.astype(np.float64).mean(axis=0)
 
 
-def attention_rollout(per_layer_probs: Sequence[np.ndarray], from_layer: int = 0) -> np.ndarray:
-    """Attentiveness of the rolled-out map from ``from_layer`` onward.
+def attention_rollout(per_layer_probs: Sequence[np.ndarray]) -> np.ndarray:
+    """Attentiveness of the rolled-out map from every layer onward.
 
     ``per_layer_probs`` holds head-averaged attention maps for every
-    layer of a no-reduction forward, in layer order. Maps from layer
-    ``from_layer`` (0-based) to the last are multiplied with the later
-    layer on the left, and the column mean of the product is returned.
-    For the final layer this equals ``attentiveness`` exactly.
+    layer of a no-reduction forward, in layer order. Returns a float64
+    (layers, n) table whose row l is the column mean of P_l, where
+    P_last is the last map and P_l = P_{l+1} M_l (the later layer on the
+    left). The last row equals ``attentiveness`` of the last map exactly.
     """
-    if not 0 <= from_layer < len(per_layer_probs):
-        raise ValueError(
-            f"from_layer {from_layer} out of range for {len(per_layer_probs)} layers"
-        )
-    mats = [
-        _require_square_stochastic(m, "attention_rollout")
-        for m in per_layer_probs[from_layer:]
-    ]
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.shape[0] != n:
-            raise ValueError("attention_rollout maps must share one token count")
+    if len(per_layer_probs) == 0:
+        raise ValueError("attention_rollout needs at least one map")
+    mats = [_require_square_stochastic(m, "attention_rollout") for m in per_layer_probs]
+    if any(m.shape != mats[0].shape for m in mats):
+        raise ValueError("attention_rollout maps must share one token count")
     prod = mats[-1]
+    rows = [attentiveness(prod)]
     for m in reversed(mats[:-1]):
         prod = numerics.matmul(prod, m)
-    return attentiveness(prod)
+        rows.append(attentiveness(prod))
+    return np.stack(rows[::-1])
 
 
 def sharpness_saliency(probs) -> np.ndarray:

@@ -112,10 +112,11 @@ def test_config_error_exit_code(tmp_path, capsys):
     bad.write_text(BASE + "run.seed = 3\nrun.colour = blue\n")
     assert cli.main(["run", str(bad)]) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
-    nan = write_cfg(tmp_path, "nan.cfg", extra="model.temporal_bias = nan\n")
-    assert cli.main(["run", str(nan)]) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and err.count("\n") == 1
+    for value in ("nan", "1e300"):
+        bias = write_cfg(tmp_path, "bias.cfg", extra=f"model.temporal_bias = {value}\n")
+        assert cli.main(["run", str(bias)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
 
 
 def test_invariant_exit_code(tmp_path, capsys):

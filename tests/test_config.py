@@ -51,9 +51,12 @@ def test_type_errors():
         parse_config_text("run.seed = 1\nclip.frames = 2.5\n")
     with pytest.raises(ConfigError):
         parse_config_text("run.seed = 1\nmodel.temporal_bias = warm\n")
-    for value in ("nan", "inf", "-inf"):
+    for value in ("nan", "inf", "-inf", "1e300", "-1e300", "1e39"):
         with pytest.raises(ConfigError, match="finite"):
             parse_config_text(f"run.seed = 1\nmodel.temporal_bias = {value}\n")
+    for value in (1e30, -1e30):  # the bound itself is accepted
+        cfg = parse_config_text(f"run.seed = 1\nmodel.temporal_bias = {value}\n")
+        assert cfg.temporal_bias == value
     with pytest.raises(ConfigError):
         parse_config_text("run.seed = 1\ndump.tokens = yes\n")
     with pytest.raises(ConfigError):

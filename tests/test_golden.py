@@ -1,9 +1,12 @@
 """Golden digests: a byte-level lock on every deterministic run artifact.
 
-Six modes on three patterns at an 18-token shape, plus one run with
-both dumps, are checked against the SHA-256 of each artifact recorded
-in golden_digests.json. metrics.csv is hashed without its wall_ms
-column, the one value outside the determinism contract.
+Six modes on three patterns at an 18-token shape, one run with both
+dumps, and the two merging modes on moving-blob at the 64-token,
+width-64 desk shape are checked against the SHA-256 of each artifact
+recorded in golden_digests.json. The desk runs lock the similarity
+sums at a width where summation order matters most. metrics.csv is
+hashed without its wall_ms column, the one value outside the
+determinism contract.
 
 Regenerate the table (only for an intended output change) with
 
@@ -36,14 +39,28 @@ out.dir = out
 """
 SCHEDULE = "4,3,2"  # 18 -> 14 -> 11 -> 9 tokens, within the merge limit
 DUMP_RUN = ("moving-blob", "vidtldr", "dump.attention = true\ndump.tokens = true\n")
+DESK_SHAPE = "run.seed = 11\nout.dir = out\n"  # defaults: 64 tokens, width 64, 8 layers
+DESK_SCHEDULE = "8,8,8,8,8,8"  # 64 -> 16 tokens
+
+
+def _run_text(shape: str, pattern: str, mode: str, schedule: str, extra: str = "") -> str:
+    return (
+        shape + f"clip.pattern = {pattern}\nrun.mode = {mode}\n"
+        f"run.schedule = {schedule}\n" + extra
+    )
 
 
 def _runs():
     for pattern in PATTERNS:
         for mode in MODES:
-            yield f"{pattern}/{mode}", pattern, mode, ""
+            schedule = "" if mode == "baseline" else SCHEDULE
+            yield f"{pattern}/{mode}", _run_text(SHAPE, pattern, mode, schedule)
     pattern, mode, extra = DUMP_RUN
-    yield f"{pattern}/{mode}/dumps", pattern, mode, extra
+    yield f"{pattern}/{mode}/dumps", _run_text(SHAPE, pattern, mode, SCHEDULE, extra)
+    for mode in ("tome", "vidtldr"):
+        yield f"desk/moving-blob/{mode}", _run_text(
+            DESK_SHAPE, "moving-blob", mode, DESK_SCHEDULE
+        )
 
 
 def _digest(path: Path) -> str:
@@ -60,13 +77,8 @@ def _digest(path: Path) -> str:
 def artifact_digests() -> dict[str, str]:
     """Run the matrix in the current directory; map run/artifact -> SHA-256."""
     out = {}
-    for name, pattern, mode, extra in _runs():
-        schedule = "" if mode == "baseline" else SCHEDULE
-        cfg = parse_config_text(
-            SHAPE + f"clip.pattern = {pattern}\nrun.mode = {mode}\n"
-            f"run.schedule = {schedule}\n" + extra
-        )
-        res = runner.run(cfg)
+    for name, text in _runs():
+        res = runner.run(parse_config_text(text))
         for path in sorted(res.out_dir.iterdir()):
             out[f"{name}/{path.name}"] = _digest(path)
     return out

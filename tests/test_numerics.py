@@ -146,6 +146,42 @@ def test_cosine_sim_length_mismatch():
         numerics.cosine_sim([1.0], [1.0, 2.0])
 
 
+def naive_cosine(u, v):
+    """Reference cosine: plain Python loops over k, float64 throughout."""
+    dot = nu2 = nv2 = 0.0
+    for a, b in zip(u.tolist(), v.tolist()):
+        dot += a * b
+        nu2 += a * a
+        nv2 += b * b
+    nu, nv = math.sqrt(nu2), math.sqrt(nv2)
+    if nu < numerics.COSINE_NORM_EPS or nv < numerics.COSINE_NORM_EPS:
+        return 0.0
+    return dot / (nu * nv)
+
+
+def test_cosine_matrix_equals_naive_oracle_exactly():
+    rng = numerics.make_rng(29)
+    for _ in range(10):
+        m, n = rng.integers(1, 8, size=2)
+        k = rng.integers(1, 130)  # up to the widest keys the benchmark matches
+        a = rng.normal(size=(m, k)).astype(np.float32)
+        b = rng.normal(size=(n, k)).astype(np.float32)
+        a[0] = 0.0  # zero-norm rows give exactly 0.0
+        b[-1] = 0.0
+        got = numerics.cosine_matrix(a, b)
+        a64, b64 = a.astype(np.float64), b.astype(np.float64)
+        expect = np.array([[naive_cosine(u, v) for v in b64] for u in a64])
+        assert got.dtype == np.float64
+        assert_array_equal(got, expect)
+
+
+def test_cosine_matrix_width_mismatch():
+    with pytest.raises(ValueError):
+        numerics.cosine_matrix(np.ones((2, 3)), np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        numerics.cosine_matrix(np.ones(3), np.ones((2, 3)))
+
+
 def test_make_rng_reproducible():
     a = numerics.make_rng(42).normal(size=5)
     b = numerics.make_rng(42).normal(size=5)

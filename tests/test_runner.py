@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from vidtldr import costmodel
+from vidtldr import costmodel, saliency
 from vidtldr.harness import runner, tensorio
 from vidtldr.harness.config import MERGE_MODES, MODES, InvariantError, parse_config_text
 
@@ -207,6 +207,7 @@ def test_build_reducer_rejects_unknown_mode():
 
 def test_compute_frame_ratios_shape(tmp_path):
     res = runner.run(make_cfg(tmp_path, mode="baseline", schedule=""))
-    ratios = runner.compute_frame_ratios(res.clean)
+    rollout = saliency.attention_rollout(res.clean.head_mean_maps())
+    ratios = runner.compute_frame_ratios(res.clean, rollout)
     assert ratios.shape == (2, 3)
     assert np.allclose(ratios.sum(axis=0), 1.0, atol=1e-9)

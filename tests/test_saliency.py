@@ -60,38 +60,46 @@ def test_attentiveness_rejects_bad_input():
 def test_rollout_last_layer_equals_attentiveness():
     rng = numerics.make_rng(3)
     maps = [random_stochastic(rng, 6) for _ in range(4)]
-    assert_array_equal(
-        saliency.attention_rollout(maps, from_layer=3),
-        saliency.attentiveness(maps[3]),
-    )
+    table = saliency.attention_rollout(maps)
+    assert table.shape == (4, 6)
+    assert_array_equal(table[3], saliency.attentiveness(maps[3]))
 
 
 def test_rollout_identity_maps():
     maps = [np.eye(4, dtype=np.float32)] * 3
     assert_allclose(
-        saliency.attention_rollout(maps, 0), np.full(4, 0.25), rtol=0, atol=1e-9
+        saliency.attention_rollout(maps), np.full((3, 4), 0.25), rtol=0, atol=1e-9
     )
 
 
 def test_rollout_matches_product_oracle():
     rng = numerics.make_rng(5)
     a, b = random_stochastic(rng, 4), random_stochastic(rng, 4)
-    got = saliency.attention_rollout([a, b], 0)
+    got = saliency.attention_rollout([a, b])[0]
     # later layer multiplies from the left
     prod = numerics.matmul(b, a)
     expect = prod.astype(np.float64).mean(axis=0)
     assert_allclose(got, expect, rtol=0, atol=1e-6)
 
 
+def test_rollout_rows_equal_independent_chains():
+    rng = numerics.make_rng(17)
+    maps = [random_stochastic(rng, 7) for _ in range(5)]
+    table = saliency.attention_rollout(maps)
+    for l in range(len(maps)):
+        prod = maps[-1]
+        for m in reversed(maps[l:-1]):
+            prod = numerics.matmul(prod, m)  # M_{L-1} ... M_l, left to right
+        assert_array_equal(table[l], prod.astype(np.float64).mean(axis=0))
+
+
 def test_rollout_input_validation():
     rng = numerics.make_rng(7)
     maps = [random_stochastic(rng, 4), random_stochastic(rng, 5)]
     with pytest.raises(ValueError):
-        saliency.attention_rollout(maps, 0)
+        saliency.attention_rollout(maps)
     with pytest.raises(ValueError):
-        saliency.attention_rollout([maps[0]], 1)
-    with pytest.raises(ValueError):
-        saliency.attention_rollout([maps[0]], -1)
+        saliency.attention_rollout([])
 
 
 def test_sharpness_extremes():
