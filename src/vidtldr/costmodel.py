@@ -9,7 +9,7 @@ and softmax. All arithmetic is exact Python integers.
 Per layer at token count n and width C:
     attention: 4*n*C^2 (Q, K, V, output projections) + 2*n^2*C
                (attention scores and the attention-weighted sum)
-    MLP:       2 * mlp_ratio * n * C^2
+    MLP:       2 * MLP_RATIO * n * C^2
 
 When a layer removes tokens, the reduction happens between the
 attention block and the MLP, so attention is charged at the pre-merge
@@ -34,10 +34,9 @@ class CostConfig:
     n0: int
     width: int
     layers: int
-    mlp_ratio: int = MLP_RATIO
 
     def __post_init__(self):
-        if min(self.n0, self.width, self.layers, self.mlp_ratio) < 1:
+        if min(self.n0, self.width, self.layers) < 1:
             raise ValueError("all cost-model dimensions must be positive")
 
 
@@ -48,19 +47,19 @@ def attention_flops(n: int, width: int) -> int:
     return 4 * n * width * width + 2 * n * n * width
 
 
-def mlp_flops(n: int, width: int, mlp_ratio: int = MLP_RATIO) -> int:
-    """FLOPs for one MLP block (hidden size mlp_ratio * width) at n tokens."""
-    if n < 1 or width < 1 or mlp_ratio < 1:
-        raise ValueError("token count, width, and ratio must be positive")
-    return 2 * mlp_ratio * n * width * width
+def mlp_flops(n: int, width: int) -> int:
+    """FLOPs for one MLP block (hidden size MLP_RATIO * width) at n tokens."""
+    if n < 1 or width < 1:
+        raise ValueError("token count and width must be positive")
+    return 2 * MLP_RATIO * n * width * width
 
 
 def layer_flops(n: int, cfg: CostConfig) -> int:
     """FLOPs for one full encoder layer at a constant n tokens.
 
-    At the default ratio 4 this is 12*n*C^2 + 2*n^2*C.
+    With MLP_RATIO = 4 this is 12*n*C^2 + 2*n^2*C.
     """
-    return attention_flops(n, cfg.width) + mlp_flops(n, cfg.width, cfg.mlp_ratio)
+    return attention_flops(n, cfg.width) + mlp_flops(n, cfg.width)
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ def schedule_flops(cfg: CostConfig, schedule) -> CostReport:
     for r in plan_schedule(cfg.n0, cfg.layers, schedule):
         n_out = n - r
         per_layer.append(
-            attention_flops(n, cfg.width) + mlp_flops(n_out, cfg.width, cfg.mlp_ratio)
+            attention_flops(n, cfg.width) + mlp_flops(n_out, cfg.width)
         )
         trajectory.append(n_out)
         n = n_out

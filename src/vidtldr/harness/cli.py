@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
 from pathlib import Path
 
@@ -23,7 +22,15 @@ import numpy as np
 
 from .. import costmodel, saliency
 from .config import ConfigError, InvariantError, load_config
-from .runner import RATIO_HEADER, clean_forward, compare, compute_frame_ratios, run
+from .runner import (
+    RATIO_HEADER,
+    ArtifactError,
+    clean_forward,
+    compare,
+    compute_frame_ratios,
+    run,
+    write_frame_ratios,
+)
 from .tensorio import dump_tensor
 
 EXIT_OK = 0
@@ -60,18 +67,11 @@ def _cmd_temporal_bias(args) -> int:
     cfg = load_config(args.config)
     clean = clean_forward(cfg)[2]
     ratios = compute_frame_ratios(clean, saliency.attention_rollout(clean.head_mean_maps()))
-
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(RATIO_HEADER)
-    for g in range(ratios.shape[0]):
-        w.writerow([g] + [repr(float(x)) for x in ratios[g]])
-    text = buf.getvalue()
-
     out_dir = Path(cfg.out_dir) / cfg.run_id
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "frame_ratio.csv").write_text(text)
-    sys.stdout.write(text)
+    path = out_dir / "frame_ratio.csv"
+    write_frame_ratios(path, ratios)
+    sys.stdout.write(path.read_bytes().decode())
     for name, col in zip(RATIO_HEADER[1:], ratios.T):
         print(f"std {name} = {float(np.std(col)):.6f}", file=sys.stderr)
     return EXIT_OK
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
     except (InvariantError, costmodel.InfeasibleScheduleError) as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return EXIT_INVARIANT
-    except OSError as e:
+    except (OSError, ArtifactError) as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
 

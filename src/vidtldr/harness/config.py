@@ -1,32 +1,21 @@
 """Run configuration: flat ``key = value`` text files, strictly parsed.
 
+RunConfig's fields are the one schema: each declares its config key,
+its default as config text, and its parser. The README's config table
+lists the keys for users.
+
 Unknown keys, duplicate keys, and malformed values are parse errors
 (ConfigError). Violations of cross-field rules, like an infeasible
 schedule or a baseline run with a nonzero schedule, are invariant
 errors (InvariantError). The CLI maps the two classes to distinct
 exit codes.
-
-Keys and defaults (run.seed is the only required key):
-
-    clip.frames = 8          clip.height = 64       clip.width = 64
-    clip.tube = 2            clip.patch = 16        clip.channels = 3
-    clip.pattern = noise     (noise | moving-blob | front-loaded)
-    model.width = 64         model.heads = 4        model.layers = 8
-    model.temporal_bias = 1.8   (finite, |value| <= 1e30)
-    run.mode = baseline      (baseline | tome | vidtldr |
-                              prune-attentiveness | prune-rollout |
-                              prune-sharpness)
-    run.schedule =           (comma-separated per-layer counts)
-    run.seed                 (required, non-negative integer)
-    out.dir = out
-    dump.attention = false   dump.tokens = false
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..costmodel import CostConfig, plan_schedule
@@ -59,103 +48,19 @@ DEFAULT_TEMPORAL_BIAS = 1.8
 # logits that softmax rounds to float32 (max ~3.4e38).
 MAX_FLOAT = 1e30
 
-_DEFAULTS: dict[str, str] = {
-    "clip.frames": "8",
-    "clip.height": "64",
-    "clip.width": "64",
-    "clip.tube": "2",
-    "clip.patch": "16",
-    "clip.channels": "3",
-    "clip.pattern": "noise",
-    "model.width": "64",
-    "model.heads": "4",
-    "model.layers": "8",
-    "model.temporal_bias": str(DEFAULT_TEMPORAL_BIAS),
-    "run.mode": "baseline",
-    "run.schedule": "",
-    "out.dir": "out",
-    "dump.attention": "false",
-    "dump.tokens": "false",
-}
-_REQUIRED = ("run.seed",)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    frames: int
-    height: int
-    width: int
-    tube: int
-    patch: int
-    channels: int
-    pattern: str
-    model_width: int
-    heads: int
-    layers: int
-    temporal_bias: float
-    mode: str
-    schedule: tuple[int, ...]
-    seed: int
-    out_dir: str
-    dump_attention: bool
-    dump_tokens: bool
-
-    def clip_spec(self) -> ClipSpec:
-        return ClipSpec(
-            frames=self.frames,
-            height=self.height,
-            width=self.width,
-            tube=self.tube,
-            patch=self.patch,
-            channels=self.channels,
-        )
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            width=self.model_width,
-            heads=self.heads,
-            layers=self.layers,
-            temporal_bias=self.temporal_bias,
-        )
-
-    def cost_config(self) -> CostConfig:
-        return CostConfig(
-            n0=self.clip_spec().n_tokens, width=self.model_width, layers=self.layers
-        )
-
-    def canonical_text(self) -> str:
-        """Effective config as sorted key = value lines (hash input)."""
-        values = {
-            "clip.frames": str(self.frames),
-            "clip.height": str(self.height),
-            "clip.width": str(self.width),
-            "clip.tube": str(self.tube),
-            "clip.patch": str(self.patch),
-            "clip.channels": str(self.channels),
-            "clip.pattern": self.pattern,
-            "model.width": str(self.model_width),
-            "model.heads": str(self.heads),
-            "model.layers": str(self.layers),
-            "model.temporal_bias": repr(self.temporal_bias),
-            "run.mode": self.mode,
-            "run.schedule": ",".join(str(r) for r in self.schedule),
-            "run.seed": str(self.seed),
-            "out.dir": self.out_dir,
-            "dump.attention": "true" if self.dump_attention else "false",
-            "dump.tokens": "true" if self.dump_tokens else "false",
-        }
-        return "".join(f"{k} = {values[k]}\n" for k in sorted(values))
-
-    @property
-    def run_id(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
-
 
 def _parse_int(key: str, value: str) -> int:
     try:
         return int(value, 10)
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+
+
+def _parse_seed(key: str, value: str) -> int:
+    seed = _parse_int(key, value)
+    if seed < 0:
+        raise ConfigError(f"{key}: must be non-negative, got {seed}")
+    return seed
 
 
 def _parse_float(key: str, value: str) -> float:
@@ -184,6 +89,96 @@ def _parse_schedule(key: str, value: str) -> tuple[int, ...]:
     return tuple(_parse_int(key, part.strip()) for part in value.split(","))
 
 
+def _parse_str(key: str, value: str) -> str:
+    return value
+
+
+def _choices(options: tuple[str, ...]):
+    def parse(key: str, value: str) -> str:
+        if value not in options:
+            raise ConfigError(f"{key}: expected one of {', '.join(options)}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _key(key: str, parse, default: str | None):
+    """A RunConfig field read from config ``key``; ``default=None`` makes it required."""
+    return field(metadata={"key": key, "parse": parse, "default": default})
+
+
+def _format(value) -> str:
+    """A field value as config text, which its parser reads back."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    frames: int = _key("clip.frames", _parse_int, "8")
+    height: int = _key("clip.height", _parse_int, "64")
+    width: int = _key("clip.width", _parse_int, "64")
+    tube: int = _key("clip.tube", _parse_int, "2")
+    patch: int = _key("clip.patch", _parse_int, "16")
+    channels: int = _key("clip.channels", _parse_int, "3")
+    pattern: str = _key("clip.pattern", _choices(PATTERNS), "noise")
+    model_width: int = _key("model.width", _parse_int, "64")
+    heads: int = _key("model.heads", _parse_int, "4")
+    layers: int = _key("model.layers", _parse_int, "8")
+    temporal_bias: float = _key("model.temporal_bias", _parse_float, str(DEFAULT_TEMPORAL_BIAS))
+    mode: str = _key("run.mode", _choices(MODES), "baseline")
+    schedule: tuple[int, ...] = _key("run.schedule", _parse_schedule, "")
+    seed: int = _key("run.seed", _parse_seed, None)
+    out_dir: str = _key("out.dir", _parse_str, "out")
+    dump_attention: bool = _key("dump.attention", _parse_bool, "false")
+    dump_tokens: bool = _key("dump.tokens", _parse_bool, "false")
+
+    def clip_spec(self) -> ClipSpec:
+        return ClipSpec(
+            frames=self.frames,
+            height=self.height,
+            width=self.width,
+            tube=self.tube,
+            patch=self.patch,
+            channels=self.channels,
+        )
+
+    def model_config(self) -> ModelConfig:
+        return ModelConfig(
+            width=self.model_width,
+            heads=self.heads,
+            layers=self.layers,
+            temporal_bias=self.temporal_bias,
+        )
+
+    def cost_config(self) -> CostConfig:
+        return CostConfig(
+            n0=self.clip_spec().n_tokens, width=self.model_width, layers=self.layers
+        )
+
+    def canonical_text(self) -> str:
+        """Effective config as sorted key = value lines (hash input)."""
+        by_key = sorted(fields(self), key=lambda f: f.metadata["key"])
+        return "".join(f"{f.metadata['key']} = {_format(getattr(self, f.name))}\n" for f in by_key)
+
+    @property
+    def run_id(self) -> str:
+        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
+
+
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
+# The fields that fix a run's clip (every clip.* key and the seed):
+# runs compared side by side must agree on all of them.
+CLIP_IDENTITY = tuple(
+    f.name for key, f in _FIELDS.items() if key.startswith("clip.") or f.name == "seed"
+)
+
+
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     """Parse and validate config text. See load_config."""
     raw: dict[str, str] = {}
@@ -196,53 +191,21 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _DEFAULTS and key not in _REQUIRED:
+        if key not in _FIELDS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    for key in _REQUIRED:
-        if key not in raw:
+    effective = {key: raw.get(key, f.metadata["default"]) for key, f in _FIELDS.items()}
+    for key, value in effective.items():
+        if value is None:
             raise ConfigError(f"{source}: missing required key {key!r}")
-    effective = dict(_DEFAULTS)
-    effective.update(raw)
-
-    mode = effective["run.mode"]
-    if mode not in MODES:
-        raise ConfigError(f"run.mode: expected one of {', '.join(MODES)}, got {mode!r}")
-    pattern = effective["clip.pattern"]
-    if pattern not in PATTERNS:
-        raise ConfigError(
-            f"clip.pattern: expected one of {', '.join(PATTERNS)}, got {pattern!r}"
-        )
-    seed = _parse_int("run.seed", effective["run.seed"])
-    if seed < 0:
-        raise ConfigError(f"run.seed: must be non-negative, got {seed}")
-
-    cfg = RunConfig(
-        frames=_parse_int("clip.frames", effective["clip.frames"]),
-        height=_parse_int("clip.height", effective["clip.height"]),
-        width=_parse_int("clip.width", effective["clip.width"]),
-        tube=_parse_int("clip.tube", effective["clip.tube"]),
-        patch=_parse_int("clip.patch", effective["clip.patch"]),
-        channels=_parse_int("clip.channels", effective["clip.channels"]),
-        pattern=pattern,
-        model_width=_parse_int("model.width", effective["model.width"]),
-        heads=_parse_int("model.heads", effective["model.heads"]),
-        layers=_parse_int("model.layers", effective["model.layers"]),
-        temporal_bias=_parse_float("model.temporal_bias", effective["model.temporal_bias"]),
-        mode=mode,
-        schedule=_parse_schedule("run.schedule", effective["run.schedule"]),
-        seed=seed,
-        out_dir=effective["out.dir"],
-        dump_attention=_parse_bool("dump.attention", effective["dump.attention"]),
-        dump_tokens=_parse_bool("dump.tokens", effective["dump.tokens"]),
-    )
+    cfg = RunConfig(**{
+        f.name: f.metadata["parse"](key, effective[key]) for key, f in _FIELDS.items()
+    })
     _validate(cfg)
     return cfg
-
-
 def _validate(cfg: RunConfig) -> None:
     try:
         spec = cfg.clip_spec()
@@ -260,4 +223,8 @@ def _validate(cfg: RunConfig) -> None:
 def load_config(path) -> RunConfig:
     """Load, parse, and validate a config file."""
     p = Path(path)
-    return parse_config_text(p.read_text(), source=str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{p}: not UTF-8 text: {e}") from None
+    return parse_config_text(text, source=str(p))

@@ -38,13 +38,17 @@ from ..model import (
     init_weights,
 )
 from .clips import SynthClip, synth_clip
-from .config import MERGE_MODES, InvariantError, RunConfig, load_config
+from .config import CLIP_IDENTITY, MERGE_MODES, InvariantError, RunConfig, load_config
 from .tensorio import dump_tensor, load_tensor
 
 METRICS_HEADER = ["run_id", "mode", "layer", "token_count", "flops", "mean_saliency", "wall_ms"]
 RATIO_HEADER = ["frame_index", "ratio_attentiveness", "ratio_rollout", "ratio_masked_saliency"]
 MASS_HEADER = ["tube_index", "frame_group", "mass_share"]
 COMPARE_HEADER = ["run_id", "mode", "total_flops", "final_tokens", "token_trajectory", "feature_distance"]
+
+
+class ArtifactError(ValueError):
+    """A run directory file that exists but does not hold its format."""
 
 
 def _fmt(x: float) -> str:
@@ -117,6 +121,15 @@ def compute_frame_ratios(clean: ForwardResult, rollout: np.ndarray) -> np.ndarra
     return np.stack(cols, axis=1)
 
 
+def write_frame_ratios(path: Path, ratios: np.ndarray) -> None:
+    """Write compute_frame_ratios' table as frame_ratio.csv."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(RATIO_HEADER)
+        for g, row in enumerate(ratios):
+            w.writerow([g] + [_fmt(x) for x in row])
+
+
 def clean_forward(cfg: RunConfig) -> tuple[SynthClip, ModelWeights, ForwardResult]:
     """Build a run's clip and weights and its no-reduction forward.
 
@@ -172,12 +185,7 @@ def run(cfg: RunConfig) -> RunResult:
                 cost.per_layer_flops[l], _fmt(mean_sal), _fmt(tr.wall_ms),
             ])
 
-    ratios = compute_frame_ratios(clean, rollout)
-    with open(out_dir / "frame_ratio.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(RATIO_HEADER)
-        for g in range(ratios.shape[0]):
-            w.writerow([g, _fmt(ratios[g, 0]), _fmt(ratios[g, 1]), _fmt(ratios[g, 2])])
+    write_frame_ratios(out_dir / "frame_ratio.csv", compute_frame_ratios(clean, rollout))
 
     final = result.final_state
     tube_share = np.zeros(spec.n_tokens, dtype=np.float64)
@@ -205,41 +213,52 @@ def run(cfg: RunConfig) -> RunResult:
     )
 
 
+def _read_artifacts(run_dir: Path) -> tuple[np.ndarray, int, list[str]]:
+    """A completed run's pooled features, total FLOPs and token trajectory."""
+    try:
+        pooled = load_tensor(run_dir / "pooled.vtdr")
+    except ValueError as e:  # the message names the file
+        raise ArtifactError(str(e)) from None
+    path = run_dir / "metrics.csv"
+    try:
+        with open(path, newline="") as f:
+            recs = list(csv.DictReader(f))
+        total = sum(int(rec["flops"]) for rec in recs)
+        trajectory = [rec["token_count"] for rec in recs]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ArtifactError(f"{path}: malformed rows: {e!r}") from None
+    if not trajectory:
+        raise ArtifactError(f"{path}: no layer rows")
+    return pooled, total, trajectory
+
+
 def compare(run_dirs: list) -> tuple[list[str], list[list[str]]]:
     """Side-by-side comparison of completed runs sharing one clip and seed.
 
     The first directory is the reference; feature_distance is the
     cosine distance between each run's pooled final features and the
-    reference's (exactly 0.0 for bit-identical features).
+    reference's (exactly 0.0 for bit-identical features). A pooled.vtdr
+    or metrics.csv that does not parse raises ArtifactError.
     """
     if len(run_dirs) < 2:
         raise InvariantError("compare needs at least 2 run directories")
-    configs = []
-    for d in run_dirs:
-        configs.append(load_config(Path(d) / "config.txt"))
+    configs = [load_config(Path(d) / "config.txt") for d in run_dirs]
     ref = configs[0]
-    clip_fields = ("frames", "height", "width", "tube", "patch", "channels", "pattern", "seed")
     for d, c in zip(run_dirs[1:], configs[1:]):
-        bad = [f for f in clip_fields if getattr(c, f) != getattr(ref, f)]
+        bad = [f for f in CLIP_IDENTITY if getattr(c, f) != getattr(ref, f)]
         if bad:
             raise InvariantError(
                 f"mismatched clip specs: {d} differs from {run_dirs[0]} on {', '.join(bad)}"
             )
 
-    ref_pooled = load_tensor(Path(run_dirs[0]) / "pooled.vtdr")
+    artifacts = [_read_artifacts(Path(d)) for d in run_dirs]
+    ref_pooled = artifacts[0][0]
     rows = []
-    for d, c in zip(run_dirs, configs):
-        pooled = load_tensor(Path(d) / "pooled.vtdr")
+    for c, (pooled, total, trajectory) in zip(configs, artifacts):
         if np.array_equal(pooled, ref_pooled):
             dist = 0.0
         else:
             dist = 1.0 - numerics.cosine_sim(pooled.ravel(), ref_pooled.ravel())
-        total = 0
-        trajectory = []
-        with open(Path(d) / "metrics.csv", newline="") as f:
-            for rec in csv.DictReader(f):
-                total += int(rec["flops"])
-                trajectory.append(rec["token_count"])
         rows.append([
             c.run_id, c.mode, str(total), trajectory[-1],
             " ".join(trajectory), _fmt(dist),

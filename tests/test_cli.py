@@ -148,6 +148,38 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"run.seed = 1\nout.dir = caf\xe9\n")  # Latin-1, not UTF-8
+    assert cli.main(["run", str(bad)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+
+
+def _two_runs(tmp_path, capsys):
+    a = write_cfg(tmp_path, "a.cfg", mode="baseline", schedule="")
+    b = write_cfg(tmp_path, "b.cfg", mode="tome")
+    assert cli.main(["run", str(a), str(b)]) == cli.EXIT_OK
+    return [line.split("out=")[1] for line in capsys.readouterr().out.strip().splitlines()]
+
+
+def test_compare_corrupt_pooled_exit_code(tmp_path, capsys):
+    dirs = _two_runs(tmp_path, capsys)
+    (tmp_path / "out" / dirs[1].split("/")[-1] / "pooled.vtdr").write_bytes(b"VTDR\x01")
+    assert cli.main(["compare"] + dirs) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("io error") and err.count("\n") == 1
+
+
+def test_compare_header_only_metrics_exit_code(tmp_path, capsys):
+    dirs = _two_runs(tmp_path, capsys)
+    metrics = tmp_path / "out" / dirs[1].split("/")[-1] / "metrics.csv"
+    metrics.write_text(metrics.read_text().splitlines()[0] + "\n")
+    assert cli.main(["compare"] + dirs) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("io error") and err.count("\n") == 1
+
+
 @pytest.mark.skipif(shutil.which("vidtldr") is None, reason="entry point not installed")
 def test_console_script_usage():
     proc = subprocess.run(["vidtldr"], capture_output=True, text=True)

@@ -1,4 +1,8 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vidtldr.costmodel import plan_schedule
 from vidtldr.harness import config
@@ -152,3 +156,75 @@ def test_load_config_roundtrip(tmp_path):
     # the canonical form parses back to the same config
     again = parse_config_text(cfg.canonical_text())
     assert again == cfg
+
+
+def test_clip_identity_is_clip_keys_and_seed():
+    assert config.CLIP_IDENTITY == (
+        "frames", "height", "width", "tube", "patch", "channels", "pattern", "seed"
+    )
+
+
+@st.composite
+def run_configs(draw):
+    """Valid RunConfigs: small geometry, any mode, a schedule the plan accepts."""
+    tube = draw(st.integers(1, 3))
+    patch = draw(st.integers(1, 8))
+    heads = draw(st.integers(1, 4))
+    layers = draw(st.integers(1, 6))
+    mode = draw(st.sampled_from(config.MODES))
+    spec = dict(
+        frames=tube * draw(st.integers(1, 4)),
+        height=patch * draw(st.integers(1, 4)),
+        width=patch * draw(st.integers(1, 4)),
+        tube=tube,
+        patch=patch,
+        channels=draw(st.integers(1, 4)),
+    )
+    n = (spec["frames"] // tube) * (spec["height"] // patch) * (spec["width"] // patch)
+    schedule = []
+    for r in draw(st.lists(st.integers(0, 3), max_size=layers)):
+        r = 0 if mode == "baseline" else min(r, n // 2 if mode in config.MERGE_MODES else n - 1)
+        schedule.append(r)
+        n -= r
+    return config.RunConfig(
+        **spec,
+        pattern=draw(st.sampled_from(config.PATTERNS)),
+        model_width=heads * draw(st.integers(1, 8)),
+        heads=heads,
+        layers=layers,
+        temporal_bias=draw(st.floats(-config.MAX_FLOAT, config.MAX_FLOAT)),
+        mode=mode,
+        schedule=tuple(schedule),
+        seed=draw(st.integers(0, 2**64)),
+        out_dir=draw(st.text("abz09/._-", min_size=1, max_size=12)),
+        dump_attention=draw(st.booleans()),
+        dump_tokens=draw(st.booleans()),
+    )
+
+
+def _changed(name, value):
+    """A value of the same type as ``value`` that differs from it."""
+    choices = {"mode": config.MODES, "pattern": config.PATTERNS}.get(name)
+    if choices:
+        return choices[(choices.index(value) + 1) % len(choices)]
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 2 if value else 1.0
+    if isinstance(value, tuple):
+        return value + (1,)
+    return value + "x"
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=run_configs())
+def test_schema_round_trip_and_identity(cfg):
+    text = cfg.canonical_text()
+    assert parse_config_text(text) == cfg
+    keys = [line.split(" = ")[0] for line in text.splitlines()]
+    assert len(keys) == len(set(keys)) == len(dataclasses.fields(config.RunConfig))
+    for f in dataclasses.fields(config.RunConfig):
+        other = dataclasses.replace(cfg, **{f.name: _changed(f.name, getattr(cfg, f.name))})
+        assert other.run_id != cfg.run_id, f.name
