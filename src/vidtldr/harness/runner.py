@@ -238,7 +238,8 @@ def compare(run_dirs: list) -> tuple[list[str], list[list[str]]]:
     The first directory is the reference; feature_distance is the
     cosine distance between each run's pooled final features and the
     reference's (exactly 0.0 for bit-identical features). A pooled.vtdr
-    or metrics.csv that does not parse raises ArtifactError.
+    or metrics.csv that does not parse raises ArtifactError, and pooled
+    features of another shape than the reference's raise InvariantError.
     """
     if len(run_dirs) < 2:
         raise InvariantError("compare needs at least 2 run directories")
@@ -253,6 +254,12 @@ def compare(run_dirs: list) -> tuple[list[str], list[list[str]]]:
 
     artifacts = [_read_artifacts(Path(d)) for d in run_dirs]
     ref_pooled = artifacts[0][0]
+    for d, (pooled, _, _) in zip(run_dirs[1:], artifacts[1:]):
+        if pooled.shape != ref_pooled.shape:
+            raise InvariantError(
+                f"mismatched feature widths: {d} pools {pooled.shape}, "
+                f"{run_dirs[0]} pools {ref_pooled.shape}"
+            )
     rows = []
     for c, (pooled, total, trajectory) in zip(configs, artifacts):
         if np.array_equal(pooled, ref_pooled):

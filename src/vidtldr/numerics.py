@@ -3,14 +3,21 @@
 Every routine in this module is bit-reproducible: same inputs give the
 same outputs on every call in a process and across runs on the same
 platform. Matrices are stored as float32 and reductions accumulate in
-float64 with a fixed summation order.
+float64.
 
-``matmul`` and ``cosine_matrix`` share one kernel, a float64 accumulator
-that adds the products of each k in increasing k. So ``matmul`` equals
-the naive triple loop bit for bit, and each dot product and norm of
-``cosine_matrix`` (and ``cosine_sim``, its one-pair case) equals a plain
-loop over k. No BLAS reduction remains here; ``row_softmax`` and
-``row_neg_entropy`` use numpy's pairwise row sums.
+``_k_ordered_sum`` is the reference accumulator: a float64 sum that
+adds the products of each k in increasing k. ``matmul`` returns, bit
+for bit, what that kernel (and so the naive triple loop) gives, but
+computes it as a certified float64 BLAS product: an error bound proves
+that BLAS's result, rounded to float32, equals the k-ordered one, and
+the elements the bound cannot certify are recomputed by the kernel.
+This assumes only that BLAS's float64 dot products obey the standard
+summation error bound in some order, which holds for blocked and FMA
+kernels but not for Strassen-type algorithms. Each dot product and
+norm of ``cosine_matrix`` (and ``cosine_sim``, its one-pair case) is a
+plain k-ordered sum, since its float64 output has no float32 rounding
+to certify against. ``row_softmax`` and ``row_neg_entropy`` use numpy's
+pairwise row sums.
 """
 
 from __future__ import annotations
@@ -44,13 +51,34 @@ def _k_ordered_sum(a64: np.ndarray, b64: np.ndarray) -> np.ndarray:
 
 
 def matmul(a, b) -> np.ndarray:
-    """Multiply two matrices with fixed-order float64 accumulation.
+    """Multiply two matrices, bit-identical to k-ordered float64 accumulation.
 
-    The accumulation order is k-major: for each output element the
-    products a[i, k] * b[k, j] are added in increasing k, all in
-    float64, and the final sum is rounded to float32 once. This makes
-    the result independent of the numpy build and bit-identical to a
-    naive three-loop reference.
+    The result is, for each output element, the float64 sum of the
+    products a[i, k] * b[k, j] added in increasing k, rounded to
+    float32 once: the naive three-loop reference, bit for bit, on any
+    BLAS that meets the assumption below.
+
+    It is computed as a certified BLAS product. Products of float32
+    values are exact in float64, so the BLAS sum r and the k-ordered sum
+    s both lie within g * T of the exact sum, whatever order BLAS adds
+    in (Higham, Accuracy and Stability of Numerical Algorithms, section
+    3): T = sum_k |a[i, k] * b[k, j]|, g = gamma_{k-1} = x / (1 - x),
+    x = (k - 1) * u and u = 2**-53. BLAS's |A| @ |B| is a T_hat >=
+    (1 - g) * T. With tol = 2 * (k + 1) * u * (1 + 8 * k * u) * T_hat,
+    the rounded bounds lo = fl(r - tol) and hi = fl(r + tol) satisfy
+    lo <= r - 2*g*T and hi >= r + 2*g*T, so lo <= s <= hi: the margin
+    covers the rounding of T_hat, of tol and of both bounds for any
+    k < 2**48. Rounding to float32 is monotone, so where lo and hi
+    round to the same float32 bits, s rounds to them too. That holds
+    at a tie, at the overflow edge and for the sign of a zero: +0.0
+    from lo means s >= 0, and a k-ordered sum that starts from +0.0 is
+    never -0.0; -0.0 from hi means s < 0, as tol >= +0.0 keeps hi from
+    being -0.0. Every other element, a few per hundred thousand on the
+    model's products, is recomputed by the k-ordered kernel.
+
+    The one assumption is that BLAS's float64 dot products obey the
+    standard error bound for some summation order, as OpenBLAS's
+    blocked and FMA kernels do. Strassen-type algorithms do not.
     """
     am = as_matrix(a)
     bm = as_matrix(b)
@@ -60,7 +88,20 @@ def matmul(a, b) -> np.ndarray:
         )
     a64 = am.astype(np.float64)
     b64 = bm.astype(np.float64)
-    out = _k_ordered_sum(a64.T[:, :, None], b64[:, None, :]).astype(np.float32)
+    r = a64 @ b64
+    tol = np.abs(a64, out=a64) @ np.abs(b64, out=b64)
+    k = am.shape[1]
+    tol *= (k + 1) * 2.0**-52 * (1 + k * 2.0**-50)
+    out = np.empty(r.shape, dtype=np.float32)
+    lo = np.empty(r.shape, dtype=np.float32)
+    np.add(r, tol, out=out, casting="same_kind")
+    np.subtract(r, tol, out=lo, casting="same_kind")
+    flat = np.flatnonzero(out.view(np.int32) != lo.view(np.int32))
+    if flat.size:
+        ii, jj = np.divmod(flat, out.shape[1])
+        out.ravel()[flat] = _k_ordered_sum(
+            am[ii].T.astype(np.float64), bm[:, jj].astype(np.float64)
+        )
     if not np.isfinite(out).all():
         raise FloatingPointError("matmul produced non-finite values")
     return out

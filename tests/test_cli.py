@@ -180,6 +180,18 @@ def test_compare_header_only_metrics_exit_code(tmp_path, capsys):
     assert err.startswith("io error") and err.count("\n") == 1
 
 
+def test_compare_width_mismatch_exit_code(tmp_path, capsys):
+    a = write_cfg(tmp_path, "a.cfg", mode="baseline", schedule="")
+    b = tmp_path / "b.cfg"
+    b.write_text(a.read_text().replace("model.width = 32", "model.width = 64"))
+    assert cli.main(["run", str(a), str(b)]) == cli.EXIT_OK
+    dirs = [line.split("out=")[1] for line in capsys.readouterr().out.strip().splitlines()]
+    assert cli.main(["compare"] + dirs) == cli.EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation") and err.count("\n") == 1
+    assert dirs[0] in err and dirs[1] in err
+
+
 @pytest.mark.skipif(shutil.which("vidtldr") is None, reason="entry point not installed")
 def test_console_script_usage():
     proc = subprocess.run(["vidtldr"], capture_output=True, text=True)

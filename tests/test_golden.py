@@ -8,6 +8,10 @@ sums at a width where summation order matters most. metrics.csv is
 hashed without its wall_ms column, the one value outside the
 determinism contract.
 
+The table must also hold under another BLAS kernel: one test runs the
+matrix in a child process with OPENBLAS_CORETYPE=Prescott, which
+selects an OpenBLAS dgemm kernel that sums in another order.
+
 Regenerate the table (only for an intended output change) with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
@@ -18,14 +22,24 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import pytest
 
 from vidtldr.harness import runner
 from vidtldr.harness.config import MODES, PATTERNS, parse_config_text
 
 TABLE = Path(__file__).with_name("golden_digests.json")
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Prints a digest of one float64 product at the embed shape.
+DGEMM_PROBE = (
+    "import hashlib, numpy as np; g = np.random.default_rng(0); "
+    "p = g.normal(size=(392, 1536)) @ g.normal(size=(1536, 128)); "
+    "print(hashlib.sha256(p.tobytes()).hexdigest())"
+)
 
 SHAPE = """\
 clip.frames = 4
@@ -91,6 +105,22 @@ def test_artifacts_match_golden_digests(tmp_path, monkeypatch):
     assert sorted(got) == sorted(expected)
     changed = [k for k in sorted(got) if got[k] != expected[k]]
     assert changed == []
+
+
+def _python(env, cwd, *args) -> str:
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def test_digests_hold_under_another_blas_kernel(tmp_path):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("OPENBLAS_CORETYPE", None)
+    prescott = dict(env, OPENBLAS_CORETYPE="Prescott")
+    if _python(env, tmp_path, "-c", DGEMM_PROBE) == _python(prescott, tmp_path, "-c", DGEMM_PROBE):
+        pytest.skip("OPENBLAS_CORETYPE=Prescott sums like the default kernel here")
+    assert json.loads(_python(prescott, tmp_path, __file__)) == json.loads(TABLE.read_text())
 
 
 if __name__ == "__main__":

@@ -69,6 +69,86 @@ def test_matmul_repeatable():
     assert_array_equal(numerics.matmul(a, b), numerics.matmul(a, b))
 
 
+F32_MAX = float(np.finfo(np.float32).max)
+
+# Each case is (a, b). The k-ordered float64 sums sit on or next to a
+# float32 rounding midpoint, cancel, or round to a signed zero, so a
+# BLAS sum in any other order can round differently.
+ADVERSARIAL = {
+    # 1 + 2**-24 is a float32 midpoint; ties-to-even gives 1.0.
+    "midpoint": ([[1.0, 2.0**-24]], [[1.0], [1.0]]),
+    "midpoint_negative": ([[-1.0, -(2.0**-24)]], [[1.0], [1.0]]),
+    # One float64 ulp (2**-52 at 1.0) above and below that midpoint.
+    "midpoint_ulp_above": ([[1.0, 2.0**-24, 2.0**-52]], [[1.0], [1.0], [1.0]]),
+    "midpoint_ulp_below": ([[1.0, 2.0**-24, -(2.0**-52)]], [[1.0], [1.0], [1.0]]),
+    # In k order each 2**-53 term vanishes (a float64 tie), leaving the
+    # midpoint; summed in blocks they lift the sum above it.
+    "order_decides_tie": ([[1.0] + [2.0**-53] * 14 + [2.0**-24]], np.ones((16, 3))),
+    # In k order 2**60 absorbs every 1.5, then cancels: 0.0.
+    "cancellation": ([[2.0**60] + [1.5] * 254 + [-(2.0**60)]] * 2, np.ones((256, 3))),
+    # Products of zero and a negative value are -0.0; the sum is +0.0.
+    "zero_row_negative_columns": ([[0.0, 0.0], [1.0, -1.0]], [[-1.0, -2.0], [-3.0, -4.0]]),
+    # A tiny negative k-ordered sum rounds to float32 -0.0.
+    "tiny_negative_sum": ([[2.0**-80, 0.0]], [[-(2.0**-80), 1.0], [1.0, 1.0]]),
+    "cancels_to_tiny_negative": ([[2.0**-55, -(2.0**-55), -(2.0**-80)]],
+                                 [[2.0**-55], [2.0**-55], [2.0**-80]]),
+    # Just below the float32 overflow threshold 2**128 - 2**103.
+    "overflow_edge": ([[F32_MAX, 2.0**102], [F32_MAX, -(2.0**103)]], [[1.0], [1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_matmul_adversarial_bytes_equal_naive(name):
+    a, b = ADVERSARIAL[name]
+    assert numerics.matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
+
+
+def test_matmul_fallback_runs_on_midpoint(monkeypatch):
+    calls = []
+    kernel = numerics._k_ordered_sum
+
+    def spy(a64, b64):
+        calls.append(a64.shape)
+        return kernel(a64, b64)
+
+    monkeypatch.setattr(numerics, "_k_ordered_sum", spy)
+    a, b = ADVERSARIAL["midpoint"]
+    assert numerics.matmul(a, b).tobytes() == np.float32([[1.0]]).tobytes()
+    assert calls == [(2, 1)]
+
+
+def test_matmul_overflow_edge_raises_like_naive():
+    # 2**128 - 2**103 is the float32 midpoint between the largest float
+    # and 2**128; ties-to-even rounds it to infinity.
+    a, b = [[F32_MAX, 2.0**103]], [[1.0], [1.0]]
+    with np.errstate(over="ignore"):
+        assert np.isinf(naive_matmul(a, b)).all()
+        with pytest.raises(FloatingPointError):
+            numerics.matmul(a, b)
+
+
+def _vectorized_k_loop(a, b):
+    """Float64 accumulation of whole outer products, in increasing k."""
+    a64 = np.asarray(a, dtype=np.float64)
+    b64 = np.asarray(b, dtype=np.float64)
+    acc = np.zeros((a64.shape[0], b64.shape[1]))
+    for k in range(a64.shape[1]):
+        acc += a64[:, k, None] * b64[None, k, :]
+    return acc.astype(np.float32)
+
+
+@pytest.mark.parametrize("m,k,n", [(392, 1536, 128), (392, 392, 392)])
+def test_matmul_model_shapes_equal_k_loop(m, k, n):
+    rng = numerics.make_rng(m + k + n)
+    a = rng.normal(size=(m, k)).astype(np.float32)
+    b = rng.normal(size=(k, n)).astype(np.float32)
+    # Integer rows and columns give exact sums wider than 24 bits, many
+    # of them float32 ties, which the certificate must leave to the loop.
+    a[::10] = rng.integers(-4096, 4097, size=a[::10].shape)
+    b[:, ::10] = rng.integers(-4096, 4097, size=b[:, ::10].shape)
+    assert numerics.matmul(a, b).tobytes() == _vectorized_k_loop(a, b).tobytes()
+
+
 def test_row_softmax_symmetry():
     out = numerics.row_softmax([[0.0, 0.0, 0.0]])
     assert_allclose(out, np.full((1, 3), 1.0 / 3.0), rtol=0, atol=1e-7)
