@@ -8,12 +8,16 @@ float64.
 ``_k_ordered_sum`` is the reference accumulator: a float64 sum that
 adds the products of each k in increasing k. ``matmul`` returns, bit
 for bit, what that kernel (and so the naive triple loop) gives, but
-computes it as a certified float64 BLAS product: an error bound proves
-that BLAS's result, rounded to float32, equals the k-ordered one, and
-the elements the bound cannot certify are recomputed by the kernel.
-This assumes only that BLAS's float64 dot products obey the standard
-summation error bound in some order, which holds for blocked and FMA
-kernels but not for Strassen-type algorithms. Each dot product and
+computes it as a certified float64 BLAS product: one GEMM, plus row
+norms of A and column norms of B that bound its error, proves that
+BLAS's result, rounded to float32, equals the k-ordered one. The
+elements the bound cannot certify, about 8 per 100k on the model's
+large products, are recomputed in fixed-size blocks by
+``_k_ordered_rows``, a sequential ``np.add.accumulate`` that gives the
+reference kernel's bits. This assumes only that BLAS's float64 dot
+products obey the standard summation error bound in some order, which
+holds for blocked and FMA kernels but not for Strassen-type
+algorithms. Each dot product and
 norm of ``cosine_matrix`` (and ``cosine_sim``, its one-pair case) is a
 plain k-ordered sum, since its float64 output has no float32 rounding
 to certify against. ``row_softmax`` and ``row_neg_entropy`` use numpy's
@@ -33,6 +37,10 @@ COSINE_NORM_EPS = 1e-12
 
 STOCHASTIC_ATOL = 1e-5
 
+# Products per block of matmul's fallback, which bounds its memory
+# however many elements the certificate rejects.
+FALLBACK_BLOCK = 2**16
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce input to a 2-D float32 C-contiguous array."""
@@ -50,6 +58,20 @@ def _k_ordered_sum(a64: np.ndarray, b64: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _k_ordered_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Float64 sum of each row of the products x * y, in increasing column.
+
+    Bit-identical to ``_k_ordered_sum(x.T, y.T)``: numpy documents
+    ``np.add.accumulate`` as sequential, r[k] = r[k - 1] + p[k]. It
+    starts from p[0] where the reference starts from +0.0. That differs
+    only on a row of -0.0 products, which accumulates to -0.0 where the
+    reference gives +0.0; the final + 0.0 mends that row and leaves
+    every other sum as it is.
+    """
+    p = np.multiply(x, y, dtype=np.float64)
+    return np.add.accumulate(p, axis=1, out=p)[:, -1] + 0.0
+
+
 def matmul(a, b) -> np.ndarray:
     """Multiply two matrices, bit-identical to k-ordered float64 accumulation.
 
@@ -63,18 +85,27 @@ def matmul(a, b) -> np.ndarray:
     s both lie within g * T of the exact sum, whatever order BLAS adds
     in (Higham, Accuracy and Stability of Numerical Algorithms, section
     3): T = sum_k |a[i, k] * b[k, j]|, g = gamma_{k-1} = x / (1 - x),
-    x = (k - 1) * u and u = 2**-53. BLAS's |A| @ |B| is a T_hat >=
-    (1 - g) * T. With tol = 2 * (k + 1) * u * (1 + 8 * k * u) * T_hat,
-    the rounded bounds lo = fl(r - tol) and hi = fl(r + tol) satisfy
-    lo <= r - 2*g*T and hi >= r + 2*g*T, so lo <= s <= hi: the margin
-    covers the rounding of T_hat, of tol and of both bounds for any
-    k < 2**48. Rounding to float32 is monotone, so where lo and hi
-    round to the same float32 bits, s rounds to them too. That holds
-    at a tie, at the overflow edge and for the sign of a zero: +0.0
-    from lo means s >= 0, and a k-ordered sum that starts from +0.0 is
-    never -0.0; -0.0 from hi means s < 0, as tol >= +0.0 keeps hi from
-    being -0.0. Every other element, a few per hundred thousand on the
-    model's products, is recomputed by the k-ordered kernel.
+    x = (k - 1) * u and u = 2**-53. So |s - r| <= 2 * g * T.
+
+    T is bounded without a second GEMM. By Cauchy-Schwarz, T <= na * nb,
+    the 2-norms of row i of A and column j of B. Their squares are exact
+    in float64, and a sum of them in any order obeys the same bound, so
+    each computed norm is at least its true value times sqrt(1 - g) *
+    (1 - u), the last factor for the square root. tol multiplies the
+    two norms and c = 2 * (k + 1) * u * (1 + 16 * k * u), which is
+    itself rounded twice. So tol >= c * (1 - g) * (1 - u)**6 * T, which
+    is >= 2 * g * T for any k < 2**48. Every value on the way is zero
+    or a normal float64, as float32 magnitudes lie in [2**-149, 2**128).
+    Hence r - tol <= s <= r + tol, and as s is a float64 the bounds
+    lo = fl(r - tol) and hi = fl(r + tol) keep lo <= s <= hi. Rounding
+    to float32 is monotone, so where lo and hi round to the same
+    float32 bits, s rounds to them too. That holds at a tie, at the
+    overflow edge and for the sign of a zero: +0.0 from lo means s >= 0,
+    and a k-ordered sum that starts from +0.0 is never -0.0; -0.0 from
+    hi means s < 0, as tol >= +0.0 keeps hi from being -0.0. Every
+    other element, about 8 per 100k on the model's large products, is
+    recomputed by ``_k_ordered_rows``, FALLBACK_BLOCK products at a
+    time.
 
     The one assumption is that BLAS's float64 dot products obey the
     standard error bound for some summation order, as OpenBLAS's
@@ -89,19 +120,21 @@ def matmul(a, b) -> np.ndarray:
     a64 = am.astype(np.float64)
     b64 = bm.astype(np.float64)
     r = a64 @ b64
-    tol = np.abs(a64, out=a64) @ np.abs(b64, out=b64)
     k = am.shape[1]
-    tol *= (k + 1) * 2.0**-52 * (1 + k * 2.0**-50)
+    c = (k + 1) * 2.0**-52 * (1 + k * 2.0**-49)
+    na = np.sqrt(np.einsum("ik,ik->i", a64, a64)) * c
+    nb = np.sqrt(np.einsum("kj,kj->j", b64, b64))
+    tol = np.multiply.outer(na, nb)
     out = np.empty(r.shape, dtype=np.float32)
     lo = np.empty(r.shape, dtype=np.float32)
     np.add(r, tol, out=out, casting="same_kind")
     np.subtract(r, tol, out=lo, casting="same_kind")
     flat = np.flatnonzero(out.view(np.int32) != lo.view(np.int32))
-    if flat.size:
-        ii, jj = np.divmod(flat, out.shape[1])
-        out.ravel()[flat] = _k_ordered_sum(
-            am[ii].T.astype(np.float64), bm[:, jj].astype(np.float64)
-        )
+    step = max(1, FALLBACK_BLOCK // max(k, 1))
+    for start in range(0, flat.size, step):
+        block = flat[start:start + step]
+        ii, jj = np.divmod(block, out.shape[1])
+        out.ravel()[block] = _k_ordered_rows(am[ii], bm.T[jj])
     if not np.isfinite(out).all():
         raise FloatingPointError("matmul produced non-finite values")
     return out

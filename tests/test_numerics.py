@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from vidtldr import numerics
@@ -105,16 +108,64 @@ def test_matmul_adversarial_bytes_equal_naive(name):
 
 def test_matmul_fallback_runs_on_midpoint(monkeypatch):
     calls = []
-    kernel = numerics._k_ordered_sum
+    kernel = numerics._k_ordered_rows
 
-    def spy(a64, b64):
-        calls.append(a64.shape)
-        return kernel(a64, b64)
+    def spy(x, y):
+        calls.append(x.shape)
+        return kernel(x, y)
 
-    monkeypatch.setattr(numerics, "_k_ordered_sum", spy)
+    monkeypatch.setattr(numerics, "_k_ordered_rows", spy)
     a, b = ADVERSARIAL["midpoint"]
     assert numerics.matmul(a, b).tobytes() == np.float32([[1.0]]).tobytes()
-    assert calls == [(2, 1)]
+    assert calls == [(1, 2)]  # one element, k = 2
+
+
+def _rows_block(rows):
+    """(count, k) float32 block of the given rows, zero-padded to one k."""
+    k = max(len(r) for r in rows)
+    return np.array([list(r) + [0.0] * (k - len(r)) for r in rows], dtype=np.float32)
+
+
+def test_k_ordered_rows_equals_reference_kernel():
+    rng = numerics.make_rng(5)
+    blocks = []
+    for _ in range(20):
+        count, k = rng.integers(1, 40), rng.integers(1, 400)
+        x, y = rng.normal(size=(2, count, k)).astype(np.float32)
+        blocks.append((x, y))
+    x, y = rng.normal(size=(2, 7, 1)).astype(np.float32)
+    blocks.append((x, y))  # k = 1
+    blocks.append((np.float32([[-0.0], [0.0], [3.0]]), np.float32([[2.0], [-2.0], [-0.0]])))
+    special = _rows_block([
+        [0.0, 0.0, 0.0],  # times a negative row: all -0.0 products
+        [2.0**60] + [1.5] * 254 + [-(2.0**60)],  # cancels to 0.0 in k order
+        [1.0, 2.0**-24],  # float32 midpoint
+        [1.0, 2.0**-24, 2.0**-52],
+        [1.0, -(2.0**-24), -(2.0**-52)],
+    ])
+    other = np.ones_like(special)
+    other[0] = -1.0
+    blocks.append((special, other))
+    for x, y in blocks:
+        want = numerics._k_ordered_sum(x.T.astype(np.float64), y.T.astype(np.float64))
+        assert numerics._k_ordered_rows(x, y).tobytes() == want.tobytes()
+
+
+def test_matmul_all_fallback_memory_is_bounded():
+    # Every element is the float32 midpoint 1 + 2**-24, so the
+    # certificate rejects all 392 * 392 of them.
+    a = np.zeros((392, 392), dtype=np.float32)
+    a[:, 0] = 1.0
+    a[:, 1] = 2.0**-24
+    b = np.ones((392, 392), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        out = numerics.matmul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.tobytes() == np.ones((392, 392), dtype=np.float32).tobytes()
+    assert peak < 64 * 2**20
 
 
 def test_matmul_overflow_edge_raises_like_naive():
@@ -147,6 +198,62 @@ def test_matmul_model_shapes_equal_k_loop(m, k, n):
     a[::10] = rng.integers(-4096, 4097, size=a[::10].shape)
     b[:, ::10] = rng.integers(-4096, 4097, size=b[:, ::10].shape)
     assert numerics.matmul(a, b).tobytes() == _vectorized_k_loop(a, b).tobytes()
+
+
+def _values(rng, kind, k):
+    """k float32 values of one kind, for a row of A or a column of B."""
+    if kind == "gauss":
+        v = rng.normal(size=k)
+    elif kind == "scaled":  # 2**-60..2**60, and a +-2**60 pair that cancels
+        v = rng.normal(size=k) * 2.0 ** (60 * rng.integers(-1, 2, size=k))
+        v[rng.permutation(k)[:2]] = [2.0**60, -(2.0**60)][: min(k, 2)]
+    elif kind == "ints":  # exact sums wider than 24 bits: float32 ties
+        v = rng.integers(-4096, 4097, size=k)
+    elif kind == "ones":
+        v = np.ones(k)
+    elif kind == "tie":  # 1 + 2**-24 in k order; more if summed in blocks
+        v = np.full(k, 2.0**-53)
+        v[:2] = [1.0, 2.0**-24][:k]
+    elif kind == "sparse":  # zeros of either sign: all-zero products
+        v = rng.integers(-3, 4, size=k) * rng.integers(0, 2, size=k) * rng.choice([-1.0, 1.0], size=k)
+    elif kind == "zero":
+        v = np.zeros(k)
+    else:
+        v = np.full(k, -0.0)
+    return v.astype(np.float32)
+
+
+KINDS = ["gauss", "scaled", "ints", "ones", "tie", "sparse", "zero", "negzero"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(0, 24),
+    n=st.integers(0, 24),
+    k=st.integers(0, 64),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=48, max_size=48),
+)
+@example(m=3, n=2, k=0, seed=0, kinds=KINDS * 6)
+@example(m=3, n=2, k=1, seed=0, kinds=["negzero", "gauss", "zero"] * 16)
+@example(m=4, n=4, k=2, seed=0, kinds=["sparse"] * 48)  # all -0.0 products
+@example(m=2, n=2, k=16, seed=0, kinds=["tie", "scaled"] + ["ones"] * 46)
+def test_matmul_property_equals_k_loop(m, n, k, seed, kinds):
+    # kinds[i] draws row i of A and kinds[24 + j] column j of B.
+    rng = numerics.make_rng(seed)
+    a = np.zeros((m, k), dtype=np.float32)
+    b = np.zeros((k, n), dtype=np.float32)
+    for i in range(m):
+        a[i] = _values(rng, kinds[i], k)
+    for j in range(n):
+        b[:, j] = _values(rng, kinds[24 + j], k)
+    with np.errstate(over="ignore"):
+        want = _vectorized_k_loop(a, b)
+        if np.isfinite(want).all():
+            assert numerics.matmul(a, b).tobytes() == want.tobytes()
+        else:
+            with pytest.raises(FloatingPointError):
+                numerics.matmul(a, b)
 
 
 def test_row_softmax_symmetry():
