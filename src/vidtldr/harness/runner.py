@@ -8,8 +8,8 @@ its artifacts under <out.dir>/<run_id>/:
     config.txt       effective config, canonical form (the run_id hash input)
     metrics.csv      one row per layer: counts, FLOPs, saliency, wall time
     frame_ratio.csv  per-frame score ratios of the three estimators
-    mass.csv         final mass per original tube (mass / provenance size;
-                     exactly 0.0 for tubes a prune mode dropped)
+    mass.csv         final mass per original tube (token mass / its tube
+                     count; exactly 0.0 for tubes a prune mode dropped)
     pooled.vtdr      mass-weighted mean of the final token features
     attention_l*.vtdr, tokens.vtdr, masses.vtdr   (optional dumps)
 
@@ -80,9 +80,7 @@ def build_reducer(mode: str, rollout: np.ndarray):
         )
     if mode == "prune-rollout":
         return PruneReducer(
-            lambda state, maps, layer: np.array(
-                [rollout[layer][list(tubes)].mean() for tubes in state.provenance]
-            )
+            lambda state, maps, layer: state.tube_mean(rollout[layer])
         )
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -188,10 +186,9 @@ def run(cfg: RunConfig) -> RunResult:
     write_frame_ratios(out_dir / "frame_ratio.csv", compute_frame_ratios(clean, rollout))
 
     final = result.final_state
+    live = final.owner >= 0
     tube_share = np.zeros(spec.n_tokens, dtype=np.float64)
-    for mass, tubes in zip(final.masses, final.provenance):
-        for t in tubes:
-            tube_share[t] = mass / len(tubes)
+    tube_share[live] = (final.masses / final.sizes)[final.owner[live]]
     frame_of = spec.tube_frame_groups()
     with open(out_dir / "mass.csv", "w", newline="") as f:
         w = csv.writer(f)

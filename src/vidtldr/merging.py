@@ -2,7 +2,8 @@
 
 Tokens are tracked through reduction as a TokenState: float32 features,
 float64 masses (how many source tubes' worth of signal a token carries),
-and per-token provenance (which original tube indices it absorbed).
+and an owner map (the live token holding each original tube, or -1 once
+the tube is pruned), which only this module writes.
 
 Matching follows the alternating-partition scheme: tokens at even
 positions are destinations, odd positions are sources. Each source is
@@ -31,13 +32,29 @@ MASS_EPS = 1e-6
 class TokenState:
     """Live tokens at one point of the forward pass."""
 
-    features: np.ndarray                     # (n, C) float32
-    masses: np.ndarray                       # (n,) float64, >= MASS_EPS
-    provenance: tuple[tuple[int, ...], ...]  # original tube indices per token
+    features: np.ndarray  # (n, C) float32
+    masses: np.ndarray    # (n,) float64, >= MASS_EPS
+    owner: np.ndarray     # (n_tubes,) int64: token holding each tube, -1 once pruned
 
     @property
     def count(self) -> int:
         return self.features.shape[0]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Number of original tubes each live token holds."""
+        return np.bincount(self.owner[self.owner >= 0], minlength=self.count)
+
+    def tube_mean(self, per_tube) -> np.ndarray:
+        """Per-token float64 mean of a per-tube value, summed in tube order."""
+        live = self.owner >= 0
+        w = np.asarray(per_tube, dtype=np.float64)[live]
+        return np.bincount(self.owner[live], weights=w, minlength=self.count) / self.sizes
+
+    @property
+    def provenance(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted original tube indices per live token (derived from owner)."""
+        return tuple(tuple(np.flatnonzero(self.owner == k).tolist()) for k in range(self.count))
 
     def with_features(self, features: np.ndarray) -> "TokenState":
         feats = numerics.as_matrix(features)
@@ -45,7 +62,7 @@ class TokenState:
             raise ValueError(
                 f"feature update changes token count {self.count} -> {feats.shape[0]}"
             )
-        return TokenState(feats, self.masses, self.provenance)
+        return TokenState(feats, self.masses, self.owner)
 
 
 def new_state(features) -> TokenState:
@@ -55,32 +72,26 @@ def new_state(features) -> TokenState:
     return TokenState(
         features=feats,
         masses=np.ones(n, dtype=np.float64),
-        provenance=tuple((i,) for i in range(n)),
+        owner=np.arange(n, dtype=np.int64),
     )
 
 
 def check_state(state: TokenState, n_tubes: int) -> None:
     """Validate the bookkeeping invariants of a state.
 
-    Provenance groups must be disjoint, sorted, non-empty, and cover a
-    subset of 0..n_tubes-1; masses must respect the floor.
+    One owner entry per tube, each -1 or a live token (so tube sets are
+    disjoint by construction); no live token without a tube; mass floor.
     """
     if state.masses.shape != (state.count,):
         raise ValueError("mass vector length differs from token count")
-    if len(state.provenance) != state.count:
-        raise ValueError("provenance length differs from token count")
+    if state.owner.shape != (n_tubes,):
+        raise ValueError(f"owner map has shape {state.owner.shape}, expected ({n_tubes},)")
+    if ((state.owner < -1) | (state.owner >= state.count)).any():
+        raise ValueError("owner entries must be -1 or a live token index")
+    if (state.sizes == 0).any():
+        raise ValueError("every live token must hold at least one tube")
     if (state.masses < MASS_EPS * (1 - 1e-9)).any():
         raise ValueError("masses must stay at or above the mass floor")
-    seen: set[int] = set()
-    for tubes in state.provenance:
-        if len(tubes) == 0:
-            raise ValueError("empty provenance group")
-        if list(tubes) != sorted(tubes):
-            raise ValueError("provenance groups must be sorted")
-        for t in tubes:
-            if t < 0 or t >= n_tubes or t in seen:
-                raise ValueError(f"provenance tube {t} repeated or out of range")
-            seen.add(t)
 
 
 @dataclass(frozen=True)
@@ -106,13 +117,11 @@ class MatchResult:
     merges lists (src, dst, similarity) for the r merged sources in
     selection order (best score first). groups partitions all token
     positions: one group per surviving token, holding the survivor and
-    every source merged into it. survivors maps old positions to new
-    ones (-1 for merged-away sources).
+    every source merged into it.
     """
 
     merges: tuple[tuple[int, int, float], ...]
     groups: tuple[tuple[int, ...], ...]
-    survivors: np.ndarray
 
 
 def soft_match(keys, part: Bipartition, r: int) -> MatchResult:
@@ -145,8 +154,7 @@ def soft_match(keys, part: Bipartition, r: int) -> MatchResult:
     for s, d, _ in sorted(merges):  # each group lists its sources in increasing position
         members[d].append(s)
     groups = tuple(tuple(members[i]) for i in np.flatnonzero(keep))
-    survivors = np.where(keep, np.cumsum(keep) - 1, -1)
-    return MatchResult(merges=merges, groups=groups, survivors=survivors)
+    return MatchResult(merges=merges, groups=groups)
 
 
 def vidtldr_mass_update(state: TokenState, part: Bipartition, masked) -> np.ndarray:
@@ -181,21 +189,18 @@ def _merge_with_masses(state: TokenState, match: MatchResult, masses: np.ndarray
     width = state.features.shape[1]
     out_feats = np.empty((len(match.groups), width), dtype=np.float64)
     out_mass = np.empty(len(match.groups), dtype=np.float64)
-    out_prov: list[tuple[int, ...]] = []
+    row_of = np.full(state.count + 1, -1, dtype=np.int64)  # last slot: pruned tubes
     for row, members in enumerate(match.groups):
         idx = list(members)
+        row_of[idx] = row
         w = masses[idx]
         total = float(w.sum())
         out_feats[row] = (w[:, None] * feats64[idx]).sum(axis=0) / total
         out_mass[row] = total
-        tubes: list[int] = []
-        for m in idx:
-            tubes.extend(state.provenance[m])
-        out_prov.append(tuple(sorted(tubes)))
     return TokenState(
         features=out_feats.astype(np.float32),
         masses=out_mass,
-        provenance=tuple(out_prov),
+        owner=row_of[state.owner],
     )
 
 
@@ -228,7 +233,7 @@ def vidtldr_merge(state: TokenState, match: MatchResult, updated_masses) -> Toke
 def prune_lowest(state: TokenState, scores, r: int) -> TokenState:
     """Drop the r lowest-scoring tokens outright (ties drop lower positions).
 
-    Survivors keep their features, masses, and provenance unchanged.
+    Survivors keep their features, masses, and tubes; dropped tubes get owner -1.
     """
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
     n = state.count
@@ -238,11 +243,11 @@ def prune_lowest(state: TokenState, scores, r: int) -> TokenState:
         raise ValueError(f"negative prune count {r}")
     if r >= n:
         raise ValueError(f"cannot prune {r} of {n} tokens")
-    order = sorted(range(n), key=lambda i: (s[i], i))
-    dropped = set(order[:r])
-    keep = [i for i in range(n) if i not in dropped]
+    keep = np.sort(np.argsort(s, kind="stable")[r:])  # stable: ties drop lower positions
+    row_of = np.full(n + 1, -1, dtype=np.int64)  # last slot: already pruned tubes
+    row_of[keep] = np.arange(keep.size)
     return TokenState(
         features=state.features[keep],
         masses=state.masses[keep],
-        provenance=tuple(state.provenance[i] for i in keep),
+        owner=row_of[state.owner],
     )

@@ -175,7 +175,7 @@ def gelu(x) -> np.ndarray:
 
 def embed_clip(clip: np.ndarray, spec: ClipSpec, weights: ModelWeights) -> merging.TokenState:
     """Cut the clip into tubes, project each to the model width, and
-    return a fresh token state (unit masses, singleton provenance)."""
+    return a fresh token state (unit masses, one tube per token)."""
     clip = np.ascontiguousarray(clip, dtype=np.float32)
     expected = (spec.frames, spec.height, spec.width, spec.channels)
     if clip.shape != expected:
@@ -200,12 +200,8 @@ class AttentionMaps:
 
 def mean_frame_groups(state: merging.TokenState, tube_groups: np.ndarray) -> np.ndarray:
     """Mean original frame group of each live token (float64)."""
-    groups = np.asarray(tube_groups, dtype=np.float64)
-    sizes = np.array([len(tubes) for tubes in state.provenance], dtype=np.int64)
-    tubes = np.concatenate(state.provenance)
-    owner = np.repeat(np.arange(state.count), sizes)
     # Group indices are small integers, so these sums are exact.
-    return np.bincount(owner, weights=groups[tubes], minlength=state.count) / sizes
+    return state.tube_mean(tube_groups)
 
 
 def temporal_bias_values(mean_groups: np.ndarray, n_groups: int, tau: float) -> np.ndarray:

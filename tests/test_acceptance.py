@@ -51,7 +51,7 @@ def random_masses_state(rng, n, width):
     feats = rng.normal(size=(n, width)).astype(np.float32)
     state = merging.new_state(feats)
     masses = rng.uniform(0.5, 3.0, size=n)
-    return merging.TokenState(state.features, masses, state.provenance)
+    return merging.TokenState(state.features, masses, state.owner)
 
 
 def oracle_match(keys, part, r):

@@ -10,7 +10,10 @@ determinism contract.
 
 The table must also hold under another BLAS kernel: one test runs the
 matrix in a child process with OPENBLAS_CORETYPE=Prescott, which
-selects an OpenBLAS dgemm kernel that sums in another order.
+selects an OpenBLAS dgemm kernel that sums in another order. It does
+not yet hold under another numpy SIMD dispatch, because float64 exp
+and log follow it; the AVX2 child test is an expected failure until
+they do not.
 
 Regenerate the table (only for an intended output change) with
 
@@ -40,6 +43,13 @@ DGEMM_PROBE = (
     "p = g.normal(size=(392, 1536)) @ g.normal(size=(1536, 128)); "
     "print(hashlib.sha256(p.tobytes()).hexdigest())"
 )
+# Prints a digest of float64 exp and log over softmax- and mass-like inputs.
+EXP_LOG_PROBE = (
+    "import hashlib, numpy as np; x = np.random.default_rng(0).uniform(-30, 30, 4096); "
+    "print(hashlib.sha256(np.exp(x).tobytes() + np.log(np.abs(x)).tobytes()).hexdigest())"
+)
+# On an AVX-512 host this makes numpy dispatch its AVX2 kernels.
+AVX2_DISPATCH = "AVX512_SPR AVX512_ICL X86_V4"
 
 SHAPE = """\
 clip.frames = 4
@@ -113,14 +123,36 @@ def _python(env, cwd, *args) -> str:
     ).stdout
 
 
-def test_digests_hold_under_another_blas_kernel(tmp_path):
+def _env_without(var: str) -> dict:
+    """This process's environment with src/ on PYTHONPATH and ``var`` unset."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    env.pop("OPENBLAS_CORETYPE", None)
+    env.pop(var, None)
+    return env
+
+
+def test_digests_hold_under_another_blas_kernel(tmp_path):
+    env = _env_without("OPENBLAS_CORETYPE")
     prescott = dict(env, OPENBLAS_CORETYPE="Prescott")
     if _python(env, tmp_path, "-c", DGEMM_PROBE) == _python(prescott, tmp_path, "-c", DGEMM_PROBE):
         pytest.skip("OPENBLAS_CORETYPE=Prescott sums like the default kernel here")
     assert json.loads(_python(prescott, tmp_path, __file__)) == json.loads(TABLE.read_text())
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="float64 np.exp and np.log give other bits under numpy's AVX2 dispatch",
+)
+def test_digests_hold_under_avx2_dispatch(tmp_path):
+    env = _env_without("NPY_DISABLE_CPU_FEATURES")
+    avx2 = dict(env, NPY_DISABLE_CPU_FEATURES=AVX2_DISPATCH)
+    try:
+        probe = _python(avx2, tmp_path, "-c", EXP_LOG_PROBE)
+    except subprocess.CalledProcessError:
+        pytest.skip(f"numpy does not start with NPY_DISABLE_CPU_FEATURES={AVX2_DISPATCH!r}")
+    if probe == _python(env, tmp_path, "-c", EXP_LOG_PROBE):
+        pytest.skip("float64 exp and log give the same bits under the AVX2 dispatch here")
+    assert json.loads(_python(avx2, tmp_path, __file__)) == json.loads(TABLE.read_text())
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from vidtldr import merging, numerics
@@ -11,7 +13,7 @@ def random_state(rng, n, width=6):
     state = merging.new_state(feats)
     # random positive masses, as if earlier layers already merged
     masses = rng.uniform(0.5, 3.0, size=n)
-    return TokenState(state.features, masses, state.provenance)
+    return TokenState(state.features, masses, state.owner)
 
 
 def oracle_match(keys, part, r):
@@ -64,7 +66,6 @@ def test_soft_match_r_zero_identity():
     assert match.merges == ()
     assert len(match.groups) == 6
     assert all(len(g) == 1 for g in match.groups)
-    assert_array_equal(match.survivors, np.arange(6))
 
 
 def test_soft_match_duplicate_pairs():
@@ -126,7 +127,6 @@ def test_match_bookkeeping_counts():
         assert len(match.groups) == n - r
         covered = sorted(i for g in match.groups for i in g)
         assert covered == list(range(n))
-        assert int((match.survivors >= 0).sum()) == n - r
 
 
 def test_tome_merge_plain_average():
@@ -145,7 +145,7 @@ def test_tome_merge_weighted_mean():
     state = TokenState(
         features=np.stack([a, b]),
         masses=np.array([3.0, 1.0]),
-        provenance=((0,), (1,)),
+        owner=np.arange(2),
     )
     match = merging.soft_match(state.features, merging.bipartition(2), 1)
     out = merging.tome_merge(state, match)
@@ -180,7 +180,7 @@ def test_mass_update_floor():
     state = TokenState(
         features=np.zeros((2, 3), dtype=np.float32),
         masses=np.array([1.0, 4.0]),
-        provenance=((0,), (1,)),
+        owner=np.arange(2),
     )
     updated = merging.vidtldr_mass_update(state, merging.bipartition(2), [0.7, 0.0])
     assert updated[0] == 1.0          # dst untouched, its score ignored
@@ -191,7 +191,7 @@ def test_mass_update_mixed_hand_case():
     state = TokenState(
         features=np.zeros((4, 2), dtype=np.float32),
         masses=np.array([1.0, 2.0, 1.0, 2.0]),
-        provenance=((0,), (1,), (2,), (3,)),
+        owner=np.arange(4),
     )
     shat = np.array([0.4, 0.5, 0.9, 1.0])
     updated = merging.vidtldr_mass_update(state, merging.bipartition(4), shat)
@@ -309,23 +309,77 @@ def test_check_state_catches_violations():
     merging.check_state(good, 3)
     with pytest.raises(ValueError):
         merging.check_state(
-            TokenState(good.features, np.array([1.0, 0.0, 1.0]), good.provenance), 3
+            TokenState(good.features, np.array([1.0, 0.0, 1.0]), good.owner), 3
         )
-    with pytest.raises(ValueError):  # repeated tube
-        merging.check_state(
-            TokenState(good.features, good.masses, ((0,), (0,), (2,))), 3
-        )
-    with pytest.raises(ValueError):  # unsorted group
-        merging.check_state(
-            TokenState(good.features[:2], good.masses[:2], ((1, 0), (2,))), 3
-        )
-    with pytest.raises(ValueError):  # out of range
-        merging.check_state(
-            TokenState(good.features, good.masses, ((0,), (1,), (5,))), 3
-        )
+    two = good.features[:2], good.masses[:2]
+    merging.check_state(TokenState(*two, np.array([0, -1, 1])), 3)
+    with pytest.raises(ValueError, match="at least one tube"):  # token 1 holds no tube
+        merging.check_state(TokenState(good.features, good.masses, np.array([0, 0, 2])), 3)
+    with pytest.raises(ValueError, match="live token index"):  # entry >= count
+        merging.check_state(TokenState(*two, np.array([0, 1, 2])), 3)
+    with pytest.raises(ValueError, match="live token index"):  # entry < -1
+        merging.check_state(TokenState(*two, np.array([0, -2, 1])), 3)
+    with pytest.raises(ValueError, match="owner map"):  # wrong length
+        merging.check_state(TokenState(*two, np.array([0, 1])), 3)
 
 
 def test_with_features_guards_count():
     state = merging.new_state(np.zeros((3, 2), dtype=np.float32))
     with pytest.raises(ValueError):
         state.with_features(np.zeros((2, 2), dtype=np.float32))
+
+
+def oracle_merge_tubes(prov, match):
+    """Tuple bookkeeping: each group's tubes are the sorted union of its members'."""
+    return tuple(tuple(sorted(t for m in group for t in prov[m])) for group in match.groups)
+
+
+def oracle_prune_tubes(prov, scores, r):
+    """Tuple bookkeeping: keep all but the r lowest (score, position) tokens, in order."""
+    order = sorted(range(len(prov)), key=lambda i: (scores[i], i))
+    return tuple(prov[i] for i in sorted(order[r:]))
+
+
+def assert_owner_map_matches(state, prov, n_tubes, per_tube):
+    merging.check_state(state, n_tubes)
+    assert state.provenance == prov
+    assert state.sizes.tolist() == [len(tubes) for tubes in prov]
+    means = []
+    for tubes in prov:
+        total = 0.0
+        for t in tubes:  # sequential, in increasing tube index
+            total += float(per_tube[t])
+        means.append(total / len(tubes))
+    assert state.tube_mean(per_tube).tobytes() == np.array(means, dtype=np.float64).tobytes()
+
+
+SCORES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_tubes=st.integers(2, 24), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_owner_map_property_equals_tuple_oracle(n_tubes, seed, data):
+    rng = numerics.make_rng(seed)
+    state = random_state(rng, n_tubes)
+    # Magnitudes spread over 16 decades, so each mean depends on its summation order.
+    per_tube = rng.normal(size=n_tubes) * 10.0 ** rng.integers(-8, 9, size=n_tubes)
+    prov = tuple((t,) for t in range(n_tubes))
+    assert_owner_map_matches(state, prov, n_tubes, per_tube)
+    for _ in range(data.draw(st.integers(1, 6))):
+        n = state.count
+        op = data.draw(st.sampled_from(["tome", "vidtldr", "prune"] if n >= 2 else ["prune"]))
+        if op == "prune":
+            r = data.draw(st.integers(0, n - 1))
+            scores = data.draw(st.lists(SCORES, min_size=n, max_size=n))
+            state, prov = merging.prune_lowest(state, scores, r), oracle_prune_tubes(prov, scores, r)
+        else:
+            part = merging.bipartition(n)
+            r = data.draw(st.integers(0, len(part.src_index)))
+            match = merging.soft_match(rng.normal(size=(n, 3)).astype(np.float32), part, r)
+            if op == "tome":
+                state = merging.tome_merge(state, match)
+            else:
+                masses = merging.vidtldr_mass_update(state, part, rng.uniform(size=n))
+                state = merging.vidtldr_merge(state, match, masses)
+            prov = oracle_merge_tubes(prov, match)
+        assert_owner_map_matches(state, prov, n_tubes, per_tube)

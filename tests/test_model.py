@@ -202,7 +202,7 @@ def test_constant_masses_shift_out_of_softmax():
     base = model.embed_clip(clip, SMALL, weights)
     groups = SMALL.tube_frame_groups()
     scaled = merging.TokenState(
-        base.features, np.full(base.count, 3.7), base.provenance
+        base.features, np.full(base.count, 3.7), base.owner
     )
     _, a = model.attention_forward(
         base, weights.layers[0], cfg, groups, SMALL.n_groups, proportional=True
