@@ -7,8 +7,9 @@ Subcommands:
     compare <dir> <dir>...   compare completed runs against the first
     dump-saliency <config>   dump per-layer masked saliency of a clean forward
 
-Exit codes: 0 success, 1 I/O failure, 2 config parse error,
-3 config or schedule invariant violation.
+Exit codes: 0 success, 1 I/O failure or internal error, 2 config parse
+error, 3 config or schedule invariant violation. Any exception without
+a code of its own is an internal error, reported in one line.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
+EXIT_INTERNAL = 1
 
 
 def _cmd_run(args) -> int:
@@ -65,7 +67,7 @@ def _cmd_flops(args) -> int:
 
 def _cmd_temporal_bias(args) -> int:
     cfg = load_config(args.config)
-    clean = clean_forward(cfg)[2]
+    clean = clean_forward(cfg)
     ratios = compute_frame_ratios(clean, saliency.attention_rollout(clean.head_mean_maps()))
     out_dir = Path(cfg.out_dir) / cfg.run_id
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -79,7 +81,7 @@ def _cmd_temporal_bias(args) -> int:
 
 def _cmd_dump_saliency(args) -> int:
     cfg = load_config(args.config)
-    clean = clean_forward(cfg)[2]
+    clean = clean_forward(cfg)
     per_layer = np.stack(
         [saliency.masked_saliency_from_map(m) for m in clean.head_mean_maps()]
     ).astype(np.float32)
@@ -151,6 +153,10 @@ def main(argv=None) -> int:
     except (OSError, ArtifactError) as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
+    except Exception as e:
+        message = " ".join(str(e).splitlines())
+        print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

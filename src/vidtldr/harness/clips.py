@@ -32,7 +32,7 @@ FRONT_DECAY_END = 0.65
 
 @dataclass(frozen=True)
 class SynthClip:
-    clip: np.ndarray             # (frames, height, width, channels) float32
+    clip: np.ndarray             # (frames, height, width, channels) float32, read-only
     foreground: tuple[int, ...]  # tube indices covered by the blob
 
 
@@ -51,7 +51,7 @@ def synth_clip(spec: ClipSpec, seed: int, pattern: str) -> SynthClip:
     clip = rng.normal(0.0, 1.0, size=(spec.frames, spec.height, spec.width, spec.channels))
 
     if pattern == "noise":
-        return SynthClip(clip=clip.astype(np.float32), foreground=())
+        return _read_only(clip, ())
 
     bp = min(BLOB_PATCHES, spec.grid_h, spec.grid_w)
     px = bp * spec.patch
@@ -82,4 +82,10 @@ def synth_clip(spec: ClipSpec, seed: int, pattern: str) -> SynthClip:
     else:
         raise ValueError(f"unknown clip pattern {pattern!r}")
 
-    return SynthClip(clip=clip.astype(np.float32), foreground=tuple(fg))
+    return _read_only(clip, tuple(fg))
+
+
+def _read_only(clip: np.ndarray, foreground: tuple[int, ...]) -> SynthClip:
+    voxels = clip.astype(np.float32)
+    voxels.setflags(write=False)
+    return SynthClip(clip=voxels, foreground=foreground)

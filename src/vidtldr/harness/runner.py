@@ -13,13 +13,28 @@ its artifacts under <out.dir>/<run_id>/:
     pooled.vtdr      mass-weighted mean of the final token features
     attention_l*.vtdr, tokens.vtdr, masses.vtdr   (optional dumps)
 
+The two forwards share only the clip and the weights, both read-only,
+except in prune-rollout, whose reducer reads the clean forward's
+rollout table (baseline's result is the clean forward itself). In the
+other modes the reduced forward runs on a worker thread while the
+calling thread runs the clean forward and the rollout, when the run's
+analytical MACs reach CONCURRENT_MIN_MACS and the process may use at
+least two CPUs. Below that, the threads would mostly wait for the
+interpreter lock, so the forwards run one after the other. The choice
+does not change an output bit: every product is certified independent
+of BLAS's summation order, and nothing reachable from forward_clip
+keeps state between calls.
+
 Everything except the wall_ms column is byte-reproducible for a fixed
-config.
+config. wall_ms times each layer of the mode's forward, which on the
+overlapping path shares the CPU with the clean forward.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +61,11 @@ RATIO_HEADER = ["frame_index", "ratio_attentiveness", "ratio_rollout", "ratio_ma
 MASS_HEADER = ["tube_index", "frame_group", "mass_share"]
 COMPARE_HEADER = ["run_id", "mode", "total_flops", "final_tokens", "token_trajectory", "feature_distance"]
 
+# Analytical MACs from which a run overlaps its two forwards. On a 2-CPU
+# host the overlap broke even between 33M MACs (128 tokens, width 64)
+# and 57M (196 tokens, width 64).
+CONCURRENT_MIN_MACS = 10**8
+
 
 class ArtifactError(ValueError):
     """A run directory file that exists but does not hold its format."""
@@ -63,7 +83,8 @@ def pooled_features(state: TokenState) -> np.ndarray:
 
 
 def build_reducer(mode: str, rollout: np.ndarray):
-    """The mode's reducer; ``rollout`` is the clean forward's rollout table."""
+    """The mode's reducer; ``rollout`` is the clean forward's rollout table,
+    read by prune-rollout alone."""
     if mode == "baseline":
         return NullReducer()
     if mode == "tome":
@@ -128,38 +149,66 @@ def write_frame_ratios(path: Path, ratios: np.ndarray) -> None:
             w.writerow([g] + [_fmt(x) for x in row])
 
 
-def clean_forward(cfg: RunConfig) -> tuple[SynthClip, ModelWeights, ForwardResult]:
-    """Build a run's clip and weights and its no-reduction forward.
+def clip_and_weights(cfg: RunConfig) -> tuple[SynthClip, ModelWeights]:
+    """Build a run's clip and weights, both read-only.
 
     run.seed derives two child seeds, one for the clip voxels and one
     for the model weights.
     """
     spec = cfg.clip_spec()
-    model_cfg = cfg.model_config()
     clip_seed, weight_seed = numerics.spawn_seeds(cfg.seed, 2)
     synth = synth_clip(spec, clip_seed, cfg.pattern)
-    weights = init_weights(model_cfg, spec, weight_seed)
-    clean = forward_clip(
-        synth.clip, spec, model_cfg, weights, [], NullReducer(), proportional=False
+    return synth, init_weights(cfg.model_config(), spec, weight_seed)
+
+
+def clean_forward(cfg: RunConfig) -> ForwardResult:
+    """A run's no-reduction forward."""
+    return _clean_forward(cfg, *clip_and_weights(cfg))
+
+
+def _clean_forward(cfg: RunConfig, synth: SynthClip, weights: ModelWeights) -> ForwardResult:
+    return forward_clip(
+        synth.clip, cfg.clip_spec(), cfg.model_config(), weights, [], NullReducer(),
+        proportional=False,
     )
-    return synth, weights, clean
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run(cfg: RunConfig) -> RunResult:
     """Execute one configured run and write its artifacts."""
     spec = cfg.clip_spec()
-    synth, weights, clean = clean_forward(cfg)
-    rollout = saliency.attention_rollout(clean.head_mean_maps())
-    if cfg.mode == "baseline":
-        result = clean
-    else:
-        reducer = build_reducer(cfg.mode, rollout)
-        result = forward_clip(
-            synth.clip, spec, cfg.model_config(), weights,
-            cfg.schedule, reducer, proportional=cfg.mode in MERGE_MODES,
+    cost = costmodel.schedule_flops(cfg.cost_config(), cfg.schedule)
+    synth, weights = clip_and_weights(cfg)
+
+    def clean_and_rollout():
+        clean = _clean_forward(cfg, synth, weights)
+        return clean, saliency.attention_rollout(clean.head_mean_maps())
+
+    def reduced(rollout):
+        return forward_clip(
+            synth.clip, spec, cfg.model_config(), weights, cfg.schedule,
+            build_reducer(cfg.mode, rollout), proportional=cfg.mode in MERGE_MODES,
         )
 
-    cost = costmodel.schedule_flops(cfg.cost_config(), cfg.schedule)
+    if (
+        cfg.mode in ("baseline", "prune-rollout")
+        or cost.total_flops < CONCURRENT_MIN_MACS
+        or _usable_cpus() < 2
+    ):
+        clean, rollout = clean_and_rollout()
+        result = clean if cfg.mode == "baseline" else reduced(rollout)
+    else:
+        # Leaving the block joins the worker, also when the clean forward raises.
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pending = pool.submit(reduced, None)
+            clean, rollout = clean_and_rollout()
+            result = pending.result()
+
     observed = tuple(tr.tokens_out for tr in result.traces)
     if observed != cost.token_trajectory:
         raise RuntimeError(

@@ -128,7 +128,7 @@ class ModelWeights:
 
 
 def init_weights(cfg: ModelConfig, spec: ClipSpec, seed: int) -> ModelWeights:
-    """Seeded Gaussian init in a fixed draw order.
+    """Seeded Gaussian init in a fixed draw order; the arrays are read-only.
 
     wk is drawn as QK_COUPLING * wq plus independent noise scaled to
     keep the same marginal std, so query and key spaces share most of
@@ -137,15 +137,19 @@ def init_weights(cfg: ModelConfig, spec: ClipSpec, seed: int) -> ModelWeights:
     rng = numerics.make_rng(seed)
     c = cfg.width
 
+    def frozen(a: np.ndarray) -> np.ndarray:
+        a.setflags(write=False)
+        return a
+
     def draw(rows: int, cols: int) -> np.ndarray:
-        return rng.normal(0.0, WEIGHT_STD, size=(rows, cols)).astype(np.float32)
+        return frozen(rng.normal(0.0, WEIGHT_STD, size=(rows, cols)).astype(np.float32))
 
     embed = draw(spec.tube_dim, c)
     noise_scale = math.sqrt(1.0 - QK_COUPLING**2)
     layers = []
     for _ in range(cfg.layers):
         wq = draw(c, c)
-        wk = (QK_COUPLING * wq + noise_scale * draw(c, c)).astype(np.float32)
+        wk = frozen((QK_COUPLING * wq + noise_scale * draw(c, c)).astype(np.float32))
         layers.append(
             LayerWeights(
                 wq=wq,
@@ -168,9 +172,14 @@ def layer_norm(x) -> np.ndarray:
 
 
 def gelu(x) -> np.ndarray:
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU: 0.5 * x * (1 + erf(x / sqrt(2))), in float64."""
     m = numerics.as_matrix(x).astype(np.float64)
-    return (0.5 * m * (1.0 + erf(m / math.sqrt(2.0)))).astype(np.float32)
+    t = m / math.sqrt(2.0)
+    erf(t, out=t)
+    t += 1.0
+    m *= 0.5
+    m *= t
+    return m.astype(np.float32)
 
 
 def embed_clip(clip: np.ndarray, spec: ClipSpec, weights: ModelWeights) -> merging.TokenState:
@@ -252,7 +261,7 @@ def attention_forward(
     merged_heads = np.concatenate(heads_out, axis=1)
     out = numerics.matmul(merged_heads, lw.wo)
     new_features = (x.astype(np.float64) + out.astype(np.float64)).astype(np.float32)
-    head_mean = probs.astype(np.float64).mean(axis=0).astype(np.float32)
+    head_mean = probs.mean(axis=0, dtype=np.float64).astype(np.float32)
     maps = AttentionMaps(probs=probs, head_mean_probs=head_mean, keys=k)
     return state.with_features(new_features), maps
 

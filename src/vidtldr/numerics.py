@@ -124,6 +124,7 @@ def matmul(a, b) -> np.ndarray:
     c = (k + 1) * 2.0**-52 * (1 + k * 2.0**-49)
     na = np.sqrt(np.einsum("ik,ik->i", a64, a64)) * c
     nb = np.sqrt(np.einsum("kj,kj->j", b64, b64))
+    del a64, b64  # the fallback reads am and bm
     tol = np.multiply.outer(na, nb)
     out = np.empty(r.shape, dtype=np.float32)
     lo = np.empty(r.shape, dtype=np.float32)

@@ -156,6 +156,15 @@ def test_non_utf8_config_exit_code(tmp_path, capsys):
     assert err.startswith("config error") and err.count("\n") == 1
 
 
+def test_unnamed_exception_is_one_line_internal_error(tmp_path, capsys, monkeypatch):
+    def fail(cfg):
+        raise RuntimeError("forward failed\nin layer 3")
+
+    monkeypatch.setattr(cli, "run", fail)
+    assert cli.main(["run", str(write_cfg(tmp_path, "a.cfg"))]) == cli.EXIT_INTERNAL == 1
+    assert capsys.readouterr().err == "internal error: RuntimeError: forward failed in layer 3\n"
+
+
 def _two_runs(tmp_path, capsys):
     a = write_cfg(tmp_path, "a.cfg", mode="baseline", schedule="")
     b = write_cfg(tmp_path, "b.cfg", mode="tome")

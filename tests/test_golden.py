@@ -8,6 +8,10 @@ sums at a width where summation order matters most. metrics.csv is
 hashed without its wall_ms column, the one value outside the
 determinism contract.
 
+The golden shapes sit below runner.CONCURRENT_MIN_MACS, so one test
+runs the matrix again with the gate at 0, where each run whose mode
+allows it overlaps its two forwards on two threads.
+
 The table must also hold under another BLAS kernel: one test runs the
 matrix in a child process with OPENBLAS_CORETYPE=Prescott, which
 selects an OpenBLAS dgemm kernel that sums in another order. It does
@@ -115,6 +119,24 @@ def test_artifacts_match_golden_digests(tmp_path, monkeypatch):
     assert sorted(got) == sorted(expected)
     changed = [k for k in sorted(got) if got[k] != expected[k]]
     assert changed == []
+
+
+def test_digests_hold_on_the_concurrent_path(tmp_path, monkeypatch):
+    submitted = []
+
+    class SpyExecutor(runner.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", SpyExecutor)
+    monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", 0)
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    monkeypatch.chdir(tmp_path)
+    assert artifact_digests() == json.loads(TABLE.read_text())
+    serial = {"baseline", "prune-rollout"}
+    overlapping = [name for name, _ in _runs() if not serial & set(name.split("/"))]
+    assert len(submitted) == len(overlapping) == 15
 
 
 def _python(env, cwd, *args) -> str:

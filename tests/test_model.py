@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import erf
 
 from vidtldr import merging, model, numerics
 from vidtldr.costmodel import InfeasibleScheduleError
@@ -89,6 +91,60 @@ def test_gelu_reference_values():
     assert out[0, 0] == 0.0
     assert out[0, 1] == pytest.approx(0.8413447, abs=1e-6)
     assert out[0, 2] == pytest.approx(-0.1586553, abs=1e-6)
+
+
+# Zeros of both signs, subnormals, the float32 edges, and erf's saturation.
+EXTREMES = np.array(
+    [0.0, -0.0, 1e-45, -1e-45, 1e-38, -1e-38, 1e-8, -1e-8, 5.0, -5.0, 8.3, -8.3,
+     40.0, -40.0, 3.4e38, -3.4e38, np.inf, -np.inf],
+    dtype=np.float32,
+)
+
+
+def old_gelu(x):
+    """gelu as one expression, before it was computed in place."""
+    m = numerics.as_matrix(x).astype(np.float64)
+    return (0.5 * m * (1.0 + erf(m / math.sqrt(2.0)))).astype(np.float32)
+
+
+def old_head_mean(probs):
+    """attention_forward's head mean through a float64 copy of probs."""
+    return probs.astype(np.float64).mean(axis=0).astype(np.float32)
+
+
+def test_gelu_bytes_equal_old_expression():
+    rng = numerics.make_rng(21)
+    cases = [EXTREMES[None, :], EXTREMES[:, None]] + [
+        rng.normal(0.0, scale, size=(7, 33)).astype(np.float32)
+        for scale in (1e-3, 1.0, 3.0, 30.0)
+    ]
+    with np.errstate(invalid="ignore"):  # gelu(-inf) is -inf * 0
+        for x in cases:
+            assert model.gelu(x).tobytes() == old_gelu(x).tobytes()
+        assert model.gelu(EXTREMES[None, :])[0, 1].tobytes() == np.float32(-0.0).tobytes()
+
+
+def test_head_mean_bytes_equal_old_expression():
+    # Through the forward: one to four heads, from near-uniform rows to
+    # one-hot rows with exact zeros.
+    for seed, heads, qk_scale in [(0, 1, 1.0), (1, 2, 1.0), (2, 4, 1.0), (3, 2, 1e3),
+                                  (4, 4, 1e-3), (5, 1, 1e3)]:
+        cfg, clip, weights = small_setup(seed, heads=heads)
+        lw = weights.layers[0]
+        lw = dataclasses.replace(lw, wq=lw.wq * qk_scale, wk=lw.wk * qk_scale)
+        state = model.embed_clip(clip, SMALL, weights)
+        _, maps = model.attention_forward(
+            state, lw, cfg, SMALL.tube_frame_groups(), SMALL.n_groups, True
+        )
+        assert maps.head_mean_probs.tobytes() == old_head_mean(maps.probs).tobytes()
+    # The float64 mean over heads without the copy, on values a softmax
+    # cannot give: -0.0, subnormals and the float32 edges.
+    rng = numerics.make_rng(22)
+    for heads in (1, 2, 3, 8):
+        probs = rng.choice(EXTREMES[np.isfinite(EXTREMES)], size=(heads, 5, 9))
+        probs = probs * rng.uniform(0.5, 1.0, size=probs.shape).astype(np.float32)
+        got = probs.mean(axis=0, dtype=np.float64).astype(np.float32)
+        assert got.tobytes() == old_head_mean(probs).tobytes()
 
 
 def test_embed_clip_token_count_and_state():

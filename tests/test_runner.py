@@ -1,4 +1,7 @@
 import csv
+import dataclasses
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from vidtldr import costmodel, saliency
+from vidtldr import costmodel, merging, saliency
 from vidtldr.harness import runner, tensorio
 from vidtldr.harness.config import MERGE_MODES, MODES, InvariantError, parse_config_text
 
@@ -211,3 +214,70 @@ def test_compute_frame_ratios_shape(tmp_path):
     ratios = runner.compute_frame_ratios(res.clean, rollout)
     assert ratios.shape == (2, 3)
     assert np.allclose(ratios.sum(axis=0), 1.0, atol=1e-9)
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """Records each executor runner.run starts; the gate is open at any size."""
+    started = []
+
+    class SpyExecutor(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", SpyExecutor)
+    monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", 0)
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    return started
+
+
+def test_shared_inputs_are_read_only(tmp_path):
+    synth, weights = runner.clip_and_weights(make_cfg(tmp_path))
+    arrays = [synth.clip, weights.embed] + [
+        getattr(lw, f.name) for lw in weights.layers for f in dataclasses.fields(lw)
+    ]
+    assert len(arrays) == 2 + 6 * 4
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0.0
+
+
+def test_usable_cpus_counts_at_least_one():
+    assert runner._usable_cpus() >= 1
+
+
+def test_serial_runs_start_no_thread(tmp_path, executors, monkeypatch):
+    runner.run(make_cfg(tmp_path, mode="baseline", schedule=""))
+    runner.run(make_cfg(tmp_path, mode="prune-rollout"))
+    assert executors == []
+    monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", 10**8)
+    cfg = make_cfg(tmp_path, mode="vidtldr")
+    assert costmodel.schedule_flops(cfg.cost_config(), cfg.schedule).total_flops < 10**8
+    runner.run(cfg)
+    assert executors == []
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", 0)
+    runner.run(cfg)
+    assert executors == []
+
+
+class Boom(Exception):
+    pass
+
+
+def _boom(*args, **kwargs):
+    raise Boom("raised on purpose")
+
+
+@pytest.mark.parametrize("where", ["reduced", "clean"])
+def test_forward_failure_reaches_caller_and_joins_worker(tmp_path, executors, monkeypatch, where):
+    if where == "reduced":  # the worker thread's forward
+        monkeypatch.setattr(merging, "tome_merge", _boom)
+    else:  # the calling thread's rollout, while the worker runs
+        monkeypatch.setattr(saliency, "attention_rollout", _boom)
+    threads = threading.active_count()
+    with pytest.raises(Boom):
+        runner.run(make_cfg(tmp_path, mode="tome"))
+    assert len(executors) == 1
+    assert threading.active_count() == threads
