@@ -28,12 +28,24 @@ keeps state between calls.
 Everything except the wall_ms column is byte-reproducible for a fixed
 config. wall_ms times each layer of the mode's forward, which on the
 overlapping path shares the CPU with the clean forward.
+
+The artifacts are first written into a new hidden directory under
+out.dir, which is then renamed to <run_id>/, replacing the directory of
+an earlier run of the same config. A run that raises removes what it
+wrote, so <run_id>/ is either complete or as an earlier run left it.
+
+A RunResult holds both forwards' traces with their head-mean maps,
+token counts and states, but no per-head (heads, n, n) probs: only the
+forward that dump.attention writes keeps them (the clean forward in
+baseline, else the mode's forward), and only until they are written.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+import shutil
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -166,10 +178,12 @@ def clean_forward(cfg: RunConfig) -> ForwardResult:
     return _clean_forward(cfg, *clip_and_weights(cfg))
 
 
-def _clean_forward(cfg: RunConfig, synth: SynthClip, weights: ModelWeights) -> ForwardResult:
+def _clean_forward(
+    cfg: RunConfig, synth: SynthClip, weights: ModelWeights, keep_probs: bool = False
+) -> ForwardResult:
     return forward_clip(
         synth.clip, cfg.clip_spec(), cfg.model_config(), weights, [], NullReducer(),
-        proportional=False,
+        proportional=False, keep_probs=keep_probs,
     )
 
 
@@ -181,18 +195,20 @@ def _usable_cpus() -> int:
 
 def run(cfg: RunConfig) -> RunResult:
     """Execute one configured run and write its artifacts."""
-    spec = cfg.clip_spec()
     cost = costmodel.schedule_flops(cfg.cost_config(), cfg.schedule)
     synth, weights = clip_and_weights(cfg)
+    # Only the forward whose attention is dumped keeps its per-head probs.
+    dump_clean = cfg.dump_attention and cfg.mode == "baseline"
 
     def clean_and_rollout():
-        clean = _clean_forward(cfg, synth, weights)
+        clean = _clean_forward(cfg, synth, weights, keep_probs=dump_clean)
         return clean, saliency.attention_rollout(clean.head_mean_maps())
 
     def reduced(rollout):
         return forward_clip(
-            synth.clip, spec, cfg.model_config(), weights, cfg.schedule,
+            synth.clip, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
             build_reducer(cfg.mode, rollout), proportional=cfg.mode in MERGE_MODES,
+            keep_probs=cfg.dump_attention,
         )
 
     if (
@@ -216,11 +232,40 @@ def run(cfg: RunConfig) -> RunResult:
             f"{cost.token_trajectory}"
         )
 
-    out_dir = Path(cfg.out_dir) / cfg.run_id
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.txt").write_text(cfg.canonical_text())
+    out_root = Path(cfg.out_dir)
+    out_root.mkdir(parents=True, exist_ok=True)
+    out_dir = out_root / cfg.run_id
+    staging = Path(tempfile.mkdtemp(prefix=f".{cfg.run_id}-", dir=out_root))
+    try:
+        _write_artifacts(staging / cfg.run_id, cfg, cost, clean, rollout, result)
+        try:  # move an earlier run's directory aside; the rmtree below removes it
+            out_dir.rename(staging / "replaced")
+        except FileNotFoundError:
+            pass
+        (staging / cfg.run_id).rename(out_dir)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
-    with open(out_dir / "metrics.csv", "w", newline="") as f:
+    if cfg.dump_attention:
+        result = result.without_probs()
+        if cfg.mode == "baseline":
+            clean = result
+    return RunResult(
+        run_id=cfg.run_id, config=cfg, out_dir=out_dir,
+        clip=synth, clean=clean, result=result, cost=cost,
+    )
+
+
+def _write_artifacts(
+    run_dir: Path, cfg: RunConfig, cost: costmodel.CostReport,
+    clean: ForwardResult, rollout: np.ndarray, result: ForwardResult,
+) -> None:
+    """Write a run's artifacts into a new directory ``run_dir``."""
+    spec = cfg.clip_spec()
+    run_dir.mkdir()
+    (run_dir / "config.txt").write_text(cfg.canonical_text())
+
+    with open(run_dir / "metrics.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(METRICS_HEADER)
         for l, tr in enumerate(result.traces):
@@ -232,31 +277,26 @@ def run(cfg: RunConfig) -> RunResult:
                 cost.per_layer_flops[l], _fmt(mean_sal), _fmt(tr.wall_ms),
             ])
 
-    write_frame_ratios(out_dir / "frame_ratio.csv", compute_frame_ratios(clean, rollout))
+    write_frame_ratios(run_dir / "frame_ratio.csv", compute_frame_ratios(clean, rollout))
 
     final = result.final_state
     live = final.owner >= 0
     tube_share = np.zeros(spec.n_tokens, dtype=np.float64)
     tube_share[live] = (final.masses / final.sizes)[final.owner[live]]
     frame_of = spec.tube_frame_groups()
-    with open(out_dir / "mass.csv", "w", newline="") as f:
+    with open(run_dir / "mass.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(MASS_HEADER)
         for t in range(spec.n_tokens):
             w.writerow([t, int(frame_of[t]), _fmt(tube_share[t])])
 
-    dump_tensor(out_dir / "pooled.vtdr", pooled_features(final))
+    dump_tensor(run_dir / "pooled.vtdr", pooled_features(final))
     if cfg.dump_attention:
         for l, tr in enumerate(result.traces):
-            dump_tensor(out_dir / f"attention_l{l:02d}.vtdr", tr.maps.probs)
+            dump_tensor(run_dir / f"attention_l{l:02d}.vtdr", tr.maps.probs)
     if cfg.dump_tokens:
-        dump_tensor(out_dir / "tokens.vtdr", final.features)
-        dump_tensor(out_dir / "masses.vtdr", final.masses.astype(np.float32))
-
-    return RunResult(
-        run_id=cfg.run_id, config=cfg, out_dir=out_dir,
-        clip=synth, clean=clean, result=result, cost=cost,
-    )
+        dump_tensor(run_dir / "tokens.vtdr", final.features)
+        dump_tensor(run_dir / "masses.vtdr", final.masses.astype(np.float32))
 
 
 def _read_artifacts(run_dir: Path) -> tuple[np.ndarray, int, list[str]]:

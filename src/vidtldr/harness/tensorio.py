@@ -25,8 +25,9 @@ def dump_tensor(path, array) -> None:
     a = np.ascontiguousarray(a)
     if any(d >= 2**32 for d in a.shape):
         raise ValueError("dimension too large for u32 header")
-    header = MAGIC + bytes([VERSION, a.ndim]) + struct.pack(f"<{a.ndim}I", *a.shape)
-    Path(path).write_bytes(header + a.tobytes(order="C"))
+    with open(path, "wb") as f:
+        f.write(MAGIC + bytes([VERSION, a.ndim]) + struct.pack(f"<{a.ndim}I", *a.shape))
+        f.write(a.data)  # the C-ordered buffer itself, not a bytes copy of it
 
 
 def load_tensor(path) -> np.ndarray:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Protocol
 
 import numpy as np
@@ -200,11 +200,15 @@ def embed_clip(clip: np.ndarray, spec: ClipSpec, weights: ModelWeights) -> mergi
 
 @dataclass(frozen=True)
 class AttentionMaps:
-    """One layer's attention tensors, plus the keys for matching."""
+    """One layer's attention tensors, plus the keys for matching.
 
-    probs: np.ndarray            # (heads, n, n) float32, row-stochastic
+    attention_forward fills every field. A LayerTrace's copy holds no
+    keys, and probs only when forward_clip was asked to keep them.
+    """
+
+    probs: np.ndarray | None     # (heads, n, n) float32, row-stochastic
     head_mean_probs: np.ndarray  # (n, n) float32, arithmetic mean over heads
-    keys: np.ndarray             # (n, width) float32, heads concatenated
+    keys: np.ndarray | None      # (n, width) float32, heads concatenated
 
 
 def mean_frame_groups(state: merging.TokenState, tube_groups: np.ndarray) -> np.ndarray:
@@ -324,6 +328,11 @@ class PruneReducer:
 
 @dataclass(frozen=True)
 class LayerTrace:
+    """What one layer leaves behind once it is done: its head-mean map
+    (and its per-head probs, if asked for), its token counts, the state
+    after it and its wall time. The keys, read only by the layer's own
+    reducer, are dropped."""
+
     maps: AttentionMaps
     tokens_in: int
     tokens_out: int
@@ -343,6 +352,11 @@ class ForwardResult:
     def head_mean_maps(self) -> list[np.ndarray]:
         return [tr.maps.head_mean_probs for tr in self.traces]
 
+    def without_probs(self) -> ForwardResult:
+        """The same result with no trace holding per-head probs."""
+        traces = tuple(replace(tr, maps=replace(tr.maps, probs=None)) for tr in self.traces)
+        return replace(self, traces=traces)
+
 
 def forward_clip(
     clip: np.ndarray,
@@ -352,12 +366,16 @@ def forward_clip(
     schedule: list[int],
     reducer: Reducer,
     proportional: bool,
+    *,
+    keep_probs: bool = False,
 ) -> ForwardResult:
     """Run the encoder over a clip, reducing tokens per the schedule.
 
     Layer l removes schedule[l] tokens between its attention block and
     its MLP. costmodel.plan_schedule checks the schedule up front, with
     the floor(n/2) merge limit for a reducer whose ``merging`` is true.
+    Each layer's trace keeps its (heads, n, n) probs only with
+    ``keep_probs``, and never its keys.
     """
     full = plan_schedule(
         spec.n_tokens, cfg.layers, schedule, merging=getattr(reducer, "merging", False)
@@ -377,7 +395,7 @@ def forward_clip(
         state = state.with_features(mlp_forward(state.features, lw))
         traces.append(
             LayerTrace(
-                maps=maps,
+                maps=replace(maps, probs=maps.probs if keep_probs else None, keys=None),
                 tokens_in=n_in,
                 tokens_out=state.count,
                 state_after=state,

@@ -366,12 +366,20 @@ def test_forward_infeasible_schedule():
 
 def test_forward_deterministic():
     cfg, clip, weights = small_setup(41)
-    a = model.forward_clip(clip, SMALL, cfg, weights, [2], model.VidTldrReducer(), True)
-    b = model.forward_clip(clip, SMALL, cfg, weights, [2], model.VidTldrReducer(), True)
-    assert_array_equal(a.final_state.features, b.final_state.features)
-    assert_array_equal(a.final_state.masses, b.final_state.masses)
-    for ta, tb in zip(a.traces, b.traces):
+
+    def forward(**kw):
+        return model.forward_clip(clip, SMALL, cfg, weights, [2], model.VidTldrReducer(), True, **kw)
+
+    a, b, c = forward(keep_probs=True), forward(keep_probs=True), forward()
+    for other in (b, c):
+        assert_array_equal(a.final_state.features, other.final_state.features)
+        assert_array_equal(a.final_state.masses, other.final_state.masses)
+    for ta, tb, tc in zip(a.traces, b.traces, c.traces):
+        assert ta.maps.probs.shape == (cfg.heads, ta.tokens_in, ta.tokens_in)
         assert_array_equal(ta.maps.probs, tb.maps.probs)
+        assert_array_equal(ta.maps.head_mean_probs, tc.maps.head_mean_probs)
+        assert tc.maps.probs is None
+        assert ta.maps.keys is None and tc.maps.keys is None
 
 
 def test_null_reducer_refuses_reduction():

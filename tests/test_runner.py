@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from vidtldr import costmodel, merging, saliency
+from vidtldr import costmodel, merging, model, saliency
 from vidtldr.harness import runner, tensorio
 from vidtldr.harness.config import MERGE_MODES, MODES, InvariantError, parse_config_text
 
@@ -281,3 +282,106 @@ def test_forward_failure_reaches_caller_and_joins_worker(tmp_path, executors, mo
         runner.run(make_cfg(tmp_path, mode="tome"))
     assert len(executors) == 1
     assert threading.active_count() == threads
+
+
+def test_failed_write_leaves_no_run_directory(tmp_path, monkeypatch):
+    cfg = make_cfg(tmp_path, extra="dump.attention = true\n")
+    out = tmp_path / "out"
+    calls = []
+
+    def dump_then_fail(path, array):
+        calls.append(path)
+        if len(calls) == 3:  # pooled.vtdr and attention_l00.vtdr are written
+            raise Boom("raised on purpose")
+        tensorio.dump_tensor(path, array)
+
+    monkeypatch.setattr(runner, "dump_tensor", dump_then_fail)
+    with pytest.raises(Boom):
+        runner.run(cfg)
+    assert len(calls) == 3
+    assert list(out.iterdir()) == []
+
+    # A failed re-run leaves the earlier complete directory as it was.
+    monkeypatch.setattr(runner, "dump_tensor", tensorio.dump_tensor)
+    res = runner.run(cfg)
+    assert [p.name for p in out.iterdir()] == [res.run_id]
+    before = {p.name: p.read_bytes() for p in res.out_dir.iterdir()}
+    calls.clear()
+    monkeypatch.setattr(runner, "dump_tensor", dump_then_fail)
+    with pytest.raises(Boom):
+        runner.run(cfg)
+    assert [p.name for p in out.iterdir()] == [res.run_id]
+    assert {p.name: p.read_bytes() for p in res.out_dir.iterdir()} == before
+
+
+def test_rerun_replaces_the_run_directory(tmp_path):
+    cfg = make_cfg(tmp_path)
+    first = runner.run(cfg)
+    (first.out_dir / "stray.txt").write_text("not an artifact\n")
+    second = runner.run(cfg)
+    assert second.out_dir == first.out_dir
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [cfg.run_id]
+    assert not (second.out_dir / "stray.txt").exists()
+
+
+# The golden digests' shape: 18 tokens, width 16, 2 heads, 4 layers.
+GOLDEN_SHAPE = """\
+clip.frames = 4
+clip.height = 48
+clip.width = 48
+model.width = 16
+model.heads = 2
+model.layers = 4
+run.seed = 11
+clip.pattern = moving-blob
+"""
+
+
+def _stored_arrays(obj):
+    """Every array held in obj's dataclass fields and tuples, recursively."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for x in obj:
+            yield from _stored_arrays(x)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _stored_arrays(getattr(obj, f.name))
+
+
+@pytest.mark.parametrize("gate", ["serial", "overlapped"])
+@pytest.mark.parametrize("dump", [False, True])
+@pytest.mark.parametrize("mode", MODES)
+def test_results_hold_no_per_head_tensors(tmp_path, monkeypatch, mode, dump, gate):
+    if gate == "overlapped":
+        monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", 0)
+    schedule = "" if mode == "baseline" else "4,3,2"
+    cfg = parse_config_text(
+        GOLDEN_SHAPE + f"run.mode = {mode}\nrun.schedule = {schedule}\n"
+        f"out.dir = {tmp_path / 'out'}\ndump.attention = {'true' if dump else 'false'}\n"
+    )
+    res = runner.run(cfg)
+    if mode == "baseline":
+        assert res.result is res.clean
+    for fwd in (res.clean, res.result):
+        ndims = [a.ndim for a in _stored_arrays(fwd)]
+        assert 2 in ndims and 3 not in ndims
+        assert all(tr.maps.probs is None and tr.maps.keys is None for tr in fwd.traces)
+
+    dumps = sorted(res.out_dir.glob("attention_l*.vtdr"))
+    if not dump:
+        assert dumps == []
+        return
+    synth, weights = runner.clip_and_weights(cfg)
+    rollout = saliency.attention_rollout(runner.clean_forward(cfg).head_mean_maps())
+    direct = model.forward_clip(
+        synth.clip, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
+        runner.build_reducer(mode, rollout), proportional=mode in MERGE_MODES,
+        keep_probs=True,
+    )
+    assert [p.name for p in dumps] == [f"attention_l{l:02d}.vtdr" for l in range(4)]
+    for path, tr in zip(dumps, direct.traces):
+        p = tr.maps.probs
+        assert p.shape == (2, tr.tokens_in, tr.tokens_in)
+        header = b"VTDR\x01\x03" + struct.pack("<3I", *p.shape)
+        assert path.read_bytes() == header + p.astype("<f4").tobytes()

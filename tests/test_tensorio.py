@@ -39,6 +39,37 @@ def test_header_layout(tmp_path):
     assert len(blob) == 14 + 24
 
 
+def _old_dump_bytes(array) -> bytes:
+    """The file bytes as dump_tensor once built them, in one bytes object."""
+    a = np.ascontiguousarray(np.asarray(array, dtype="<f4"))
+    header = tensorio.MAGIC + bytes([tensorio.VERSION, a.ndim])
+    return header + struct.pack(f"<{a.ndim}I", *a.shape) + a.tobytes(order="C")
+
+
+_RNG = np.random.default_rng(5)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        _RNG.normal(size=7).astype(np.float32),
+        _RNG.normal(size=(3, 5)),  # float64
+        _RNG.normal(size=(2, 3, 4)).astype(np.float32),
+        _RNG.normal(size=(3, 4)).astype(">f4"),
+        _RNG.normal(size=(4, 6)).astype(np.float32)[:, ::2],
+        _RNG.normal(size=(3, 4, 5)).transpose(2, 0, 1),
+        np.zeros((0, 3), dtype=np.float32),
+        np.zeros((2, 0, 4)),
+    ],
+    ids=["rank1", "rank2-f64", "rank3", "big-endian", "strided", "transposed",
+         "empty-rows", "empty-middle"],
+)
+def test_dump_bytes_equal_old_expression(tmp_path, array):
+    path = tmp_path / "t.vtdr"
+    tensorio.dump_tensor(path, array)
+    assert path.read_bytes() == _old_dump_bytes(array)
+
+
 def test_non_contiguous_input(tmp_path):
     a = np.arange(24, dtype=np.float32).reshape(4, 6)[:, ::2]
     path = tmp_path / "t.vtdr"
