@@ -9,7 +9,11 @@ Matching follows the alternating-partition scheme: tokens at even
 positions are destinations, odd positions are sources. Each source is
 scored by its best cosine similarity to any destination over the given
 key vectors, the top r sources merge into their best destinations, and
-everything else survives unchanged. Merging is a mass-weighted mean.
+everything else survives unchanged. The best matches and their scores
+come from ``numerics.cosine_argmax``, the bits of an argmax over the
+full k-ordered cosine matrix. Merging is a mass-weighted mean, computed
+with whole-array operations for groups of one or two members and one
+group at a time for the rare larger ones.
 The saliency-aware variant first rescales every source token's mass by
 its saliency score (merged or not), so background sources barely
 contribute to merged features and carry almost no mass forward.
@@ -17,6 +21,7 @@ contribute to merged features and carry almost no mass forward.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,9 +145,7 @@ def soft_match(keys, part: Bipartition, r: int) -> MatchResult:
     if r > src.shape[0]:
         raise ValueError(f"cannot merge {r} of {src.shape[0]} source tokens")
 
-    sims = numerics.cosine_matrix(k[src], k[dst])
-    j = np.argmax(sims, axis=1)  # argmax takes the first max: lowest dst wins ties
-    scores = sims[np.arange(src.shape[0]), j]
+    j, scores = numerics.cosine_argmax(k[src], k[dst])  # first max: lowest dst wins ties
     best = dst[j]
 
     chosen = np.lexsort((src, -scores))[:r]  # by (-score, src)
@@ -181,18 +184,40 @@ def vidtldr_mass_update(state: TokenState, part: Bipartition, masked) -> np.ndar
 def _merge_with_masses(state: TokenState, match: MatchResult, masses: np.ndarray) -> TokenState:
     """Shared merge core: mass-weighted means over the matched groups.
 
-    Surviving tokens keep their original relative order. The weighted
-    sums run in float64, iterating each group with the survivor first
-    and its merged sources in increasing position.
+    Surviving tokens keep their original relative order. A group's mass
+    and float64 weighted feature sum are numpy sums over its members,
+    survivor first and merged sources in increasing position; numpy
+    starts each from +0.0. With one or two positive masses, and one or
+    two terms per feature, every summation order gives the same bits, so
+    groups of one and two members, nearly all of them, are merged with
+    whole-array operations that add the terms and then +0.0. Numpy's
+    order decides the bits of a larger group, so each of those is summed
+    by numpy itself.
     """
-    feats64 = state.features.astype(np.float64)
-    width = state.features.shape[1]
-    out_feats = np.empty((len(match.groups), width), dtype=np.float64)
-    out_mass = np.empty(len(match.groups), dtype=np.float64)
+    groups = match.groups
+    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    members = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64,
+                          count=int(sizes.sum()))
+    first = np.cumsum(sizes) - sizes
     row_of = np.full(state.count + 1, -1, dtype=np.int64)  # last slot: pruned tubes
-    for row, members in enumerate(match.groups):
-        idx = list(members)
-        row_of[idx] = row
+    row_of[members] = np.repeat(np.arange(len(groups)), sizes)
+    feats64 = state.features.astype(np.float64)
+    out_feats = np.empty((len(groups), feats64.shape[1]), dtype=np.float64)
+    out_mass = np.empty(len(groups), dtype=np.float64)
+
+    rows = np.flatnonzero(sizes == 1)
+    i = members[first[rows]]
+    out_mass[rows] = masses[i]
+    out_feats[rows] = (masses[i, None] * feats64[i] + 0.0) / masses[i, None]
+
+    rows = np.flatnonzero(sizes == 2)
+    i, j = members[first[rows]], members[first[rows] + 1]
+    total = masses[i] + masses[j]
+    out_mass[rows] = total
+    out_feats[rows] = (masses[i, None] * feats64[i] + masses[j, None] * feats64[j] + 0.0) / total[:, None]
+
+    for row in np.flatnonzero(sizes > 2):
+        idx = members[first[row]:first[row] + sizes[row]]
         w = masses[idx]
         total = float(w.sum())
         out_feats[row] = (w[:, None] * feats64[idx]).sum(axis=0) / total

@@ -6,22 +6,24 @@ platform. Matrices are stored as float32 and reductions accumulate in
 float64.
 
 ``_k_ordered_sum`` is the reference accumulator: a float64 sum that
-adds the products of each k in increasing k. ``matmul`` returns, bit
-for bit, what that kernel (and so the naive triple loop) gives, but
-computes it as a certified float64 BLAS product: one GEMM, plus row
-norms of A and column norms of B that bound its error, proves that
-BLAS's result, rounded to float32, equals the k-ordered one. The
-elements the bound cannot certify, about 8 per 100k on the model's
-large products, are recomputed in fixed-size blocks by
-``_k_ordered_rows``, a sequential ``np.add.accumulate`` that gives the
-reference kernel's bits. This assumes only that BLAS's float64 dot
-products obey the standard summation error bound in some order, which
-holds for blocked and FMA kernels but not for Strassen-type
-algorithms. Each dot product and
-norm of ``cosine_matrix`` (and ``cosine_sim``, its one-pair case) is a
-plain k-ordered sum, since its float64 output has no float32 rounding
-to certify against. ``row_softmax`` and ``row_neg_entropy`` use numpy's
-pairwise row sums.
+adds the products of each k in increasing k. ``_k_ordered_rows`` gives
+its bits for row pairs, as a sequential ``np.add.accumulate``; every
+norm, and every dot product that no certificate covers, comes from it.
+``matmul`` returns, bit for bit, what the reference (and so the naive
+triple loop) gives, but computes it as a certified float64 BLAS
+product: one GEMM, plus row norms of A and column norms of B that bound
+its error, proves that BLAS's result, rounded to float32, equals the
+k-ordered one. The elements the bound cannot certify, about 1 per 10k
+on the model's large products, are recomputed in fixed-size blocks.
+``cosine_argmax`` uses the same bound to find each row's best match
+under ``cosine_matrix`` from one GEMM, computing exact dots only for
+the candidates the bound cannot separate. Both assume only that BLAS's
+float64 dot products obey the standard summation error bound in some
+order, which holds for blocked and FMA kernels but not for
+Strassen-type algorithms. ``cosine_matrix``, the reference the tests
+compare ``cosine_argmax`` against, and ``cosine_sim``, its one-pair
+case, are plain k-ordered sums. ``row_softmax`` and
+``row_neg_entropy`` use numpy's pairwise row sums.
 """
 
 from __future__ import annotations
@@ -66,10 +68,33 @@ def _k_ordered_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     starts from p[0] where the reference starts from +0.0. That differs
     only on a row of -0.0 products, which accumulates to -0.0 where the
     reference gives +0.0; the final + 0.0 mends that row and leaves
-    every other sum as it is.
+    every other sum as it is. An empty row sums to +0.0.
     """
     p = np.multiply(x, y, dtype=np.float64)
+    if p.shape[1] == 0:
+        return np.zeros(p.shape[0])
     return np.add.accumulate(p, axis=1, out=p)[:, -1] + 0.0
+
+
+def _k_ordered_dots(x: np.ndarray, y: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """``_k_ordered_rows`` of rows x[ii] and y[jj], FALLBACK_BLOCK products
+    at a time, which bounds its memory however many pairs it is given."""
+    out = np.empty(ii.shape[0], dtype=np.float64)
+    step = max(1, FALLBACK_BLOCK // max(x.shape[1], 1))
+    for start in range(0, ii.shape[0], step):
+        block = slice(start, start + step)
+        out[block] = _k_ordered_rows(x[ii[block]], y[jj[block]])
+    return out
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Float64 2-norm of each row, the root of its k-ordered sum of squares."""
+    return np.sqrt(_k_ordered_rows(x, x))
+
+
+def _error_scale(k: int) -> float:
+    """c = 2 * (k + 1) * u * (1 + 16 * k * u), u = 2**-53: see ``matmul``."""
+    return (k + 1) * 2.0**-52 * (1 + k * 2.0**-49)
 
 
 def matmul(a, b) -> np.ndarray:
@@ -87,25 +112,26 @@ def matmul(a, b) -> np.ndarray:
     3): T = sum_k |a[i, k] * b[k, j]|, g = gamma_{k-1} = x / (1 - x),
     x = (k - 1) * u and u = 2**-53. So |s - r| <= 2 * g * T.
 
-    T is bounded without a second GEMM. By Cauchy-Schwarz, T <= na * nb,
-    the 2-norms of row i of A and column j of B. Their squares are exact
-    in float64, and a sum of them in any order obeys the same bound, so
+    T is bounded without a second GEMM. By Cauchy-Schwarz,
+    T <= na * nb <= na * max nb, the 2-norms of row i of A, of column j
+    of B and the largest column norm of B. Their squares are exact in
+    float64, and a sum of them in any order obeys the same bound, so
     each computed norm is at least its true value times sqrt(1 - g) *
-    (1 - u), the last factor for the square root. tol multiplies the
-    two norms and c = 2 * (k + 1) * u * (1 + 16 * k * u), which is
-    itself rounded twice. So tol >= c * (1 - g) * (1 - u)**6 * T, which
-    is >= 2 * g * T for any k < 2**48. Every value on the way is zero
-    or a normal float64, as float32 magnitudes lie in [2**-149, 2**128).
-    Hence r - tol <= s <= r + tol, and as s is a float64 the bounds
-    lo = fl(r - tol) and hi = fl(r + tol) keep lo <= s <= hi. Rounding
-    to float32 is monotone, so where lo and hi round to the same
-    float32 bits, s rounds to them too. That holds at a tie, at the
-    overflow edge and for the sign of a zero: +0.0 from lo means s >= 0,
-    and a k-ordered sum that starts from +0.0 is never -0.0; -0.0 from
-    hi means s < 0, as tol >= +0.0 keeps hi from being -0.0. Every
-    other element, about 8 per 100k on the model's large products, is
-    recomputed by ``_k_ordered_rows``, FALLBACK_BLOCK products at a
-    time.
+    (1 - u), the last factor for the square root; taking the maximum is
+    exact. tol multiplies na and max nb with c = 2 * (k + 1) * u *
+    (1 + 16 * k * u), which is itself rounded twice. So tol >= c *
+    (1 - g) * (1 - u)**6 * T, which is >= 2 * g * T for any k < 2**48.
+    Every value on the way is zero or a normal float64, as float32
+    magnitudes lie in [2**-149, 2**128). Hence r - tol <= s <= r + tol,
+    and as s is a float64 the bounds lo = fl(r - tol) and hi =
+    fl(r + tol) keep lo <= s <= hi. Rounding to float32 is monotone, so
+    where lo and hi round to the same float32 bits, s rounds to them
+    too. That holds at a tie, at the overflow edge and for the sign of
+    a zero: +0.0 from lo means s >= 0, and a k-ordered sum that starts
+    from +0.0 is never -0.0; -0.0 from hi means s < 0, as tol >= +0.0
+    keeps hi from being -0.0. Every other element, about 1 per 10k on
+    the model's large products, is recomputed by ``_k_ordered_rows``.
+    tol is one value per row, so no (m, n) float64 array but r is made.
 
     The one assumption is that BLAS's float64 dot products obey the
     standard error bound for some summation order, as OpenBLAS's
@@ -120,22 +146,16 @@ def matmul(a, b) -> np.ndarray:
     a64 = am.astype(np.float64)
     b64 = bm.astype(np.float64)
     r = a64 @ b64
-    k = am.shape[1]
-    c = (k + 1) * 2.0**-52 * (1 + k * 2.0**-49)
-    na = np.sqrt(np.einsum("ik,ik->i", a64, a64)) * c
-    nb = np.sqrt(np.einsum("kj,kj->j", b64, b64))
+    nb_max = np.sqrt(np.einsum("kj,kj->j", b64, b64)).max(initial=0.0)
+    tol = (np.sqrt(np.einsum("ik,ik->i", a64, a64)) * _error_scale(am.shape[1]) * nb_max)[:, None]
     del a64, b64  # the fallback reads am and bm
-    tol = np.multiply.outer(na, nb)
     out = np.empty(r.shape, dtype=np.float32)
     lo = np.empty(r.shape, dtype=np.float32)
     np.add(r, tol, out=out, casting="same_kind")
     np.subtract(r, tol, out=lo, casting="same_kind")
     flat = np.flatnonzero(out.view(np.int32) != lo.view(np.int32))
-    step = max(1, FALLBACK_BLOCK // max(k, 1))
-    for start in range(0, flat.size, step):
-        block = flat[start:start + step]
-        ii, jj = np.divmod(block, out.shape[1])
-        out.ravel()[block] = _k_ordered_rows(am[ii], bm.T[jj])
+    ii, jj = np.divmod(flat, out.shape[1])
+    out.ravel()[flat] = _k_ordered_dots(am, bm.T, ii, jj)
     if not np.isfinite(out).all():
         raise FloatingPointError("matmul produced non-finite values")
     return out
@@ -186,27 +206,89 @@ def cosine_matrix(a, b) -> np.ndarray:
     """(m, n) float64 cosine similarity of each row of ``a`` with each row of ``b``.
 
     Dots and norms are k-ordered float64 sums. An entry is 0.0 where
-    either row's norm is below 1e-12.
+    either row's norm is below COSINE_NORM_EPS.
     """
     a64 = np.asarray(a, dtype=np.float64)
     b64 = np.asarray(b, dtype=np.float64)
     if a64.ndim != 2 or b64.ndim != 2 or a64.shape[1] != b64.shape[1]:
         raise ValueError(f"cosine_matrix width mismatch: {a64.shape} vs {b64.shape}")
-    at, bt = a64.T, b64.T
-    dots = _k_ordered_sum(at[:, :, None], bt[:, None, :])
-    na = np.sqrt(_k_ordered_sum(at, at))[:, None]
-    nb = np.sqrt(_k_ordered_sum(bt, bt))[None, :]
+    dots = _k_ordered_sum(a64.T[:, :, None], b64.T[:, None, :])
+    na = _norms(a64)[:, None]
+    nb = _norms(b64)[None, :]
     flat = (na < COSINE_NORM_EPS) | (nb < COSINE_NORM_EPS)
     return np.where(flat, 0.0, dots / np.where(flat, 1.0, na * nb))
+
+
+def _cosines(a: np.ndarray, b: np.ndarray, na: np.ndarray, nb: np.ndarray,
+             ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """Entries (ii, jj) of ``cosine_matrix(a, b)``, bit for bit, given its norms."""
+    na, nb = na[ii], nb[jj]
+    flat = (na < COSINE_NORM_EPS) | (nb < COSINE_NORM_EPS)
+    return np.where(flat, 0.0, _k_ordered_dots(a, b, ii, jj) / np.where(flat, 1.0, na * nb))
+
+
+def cosine_argmax(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first argmax under ``cosine_matrix(a, b)`` and its value.
+
+    Returns (j, v): j[i] = np.argmax(cosine_matrix(a, b)[i]) and v[i]
+    that entry's value, both bit for bit, for float32 ``a`` (m, k) and
+    ``b`` (n, k), n >= 1. All m * n dots come from one float64 BLAS
+    GEMM; a dot is computed in k order only where the GEMM cannot
+    decide the row.
+
+    The bound is ``matmul``'s, per entry. The norms na[i] and nb[j] are
+    the reference's k-ordered ones, so p = fl(na * nb) is its
+    denominator. The k-ordered dot s and the BLAS dot r obey
+    |s - r| <= 2 * g * T and T <= na * nb by Cauchy-Schwarz, so with
+    tol = fl(fl(na * c) * nb), lo = fl(r - tol) <= s <= fl(r + tol) =
+    hi, as ``matmul`` proves. Division by p > 0 is monotone, so the
+    reference cosine fl(s / p) lies in [fl(lo / p), fl(hi / p)]. An
+    entry with a norm below COSINE_NORM_EPS is exactly 0.0 in the
+    reference and here. A row's interval with the highest lower end is
+    its best; when that lower end lies above every other interval's
+    upper end, each other entry is strictly smaller and the best is the
+    first argmax. Every other row takes the first maximum of the exact
+    cosines of the entries whose upper end reaches the best's lower
+    end, among which the row's maximum lies: exact ties, as from
+    duplicated keys, are always decided there, never by BLAS's bits.
+    Each value v[i] is recomputed exactly, so it is the reference's.
+    """
+    am = as_matrix(a)
+    bm = as_matrix(b)
+    if am.shape[1] != bm.shape[1]:
+        raise ValueError(f"cosine_argmax width mismatch: {am.shape} vs {bm.shape}")
+    na = _norms(am)
+    nb = _norms(bm)
+    r = am.astype(np.float64) @ bm.T.astype(np.float64)
+    tol = np.multiply.outer(na * _error_scale(am.shape[1]), nb)
+    flat = np.logical_or.outer(na < COSINE_NORM_EPS, nb < COSINE_NORM_EPS)
+    p = np.where(flat, 1.0, np.multiply.outer(na, nb))
+    lo = np.where(flat, 0.0, (r - tol) / p)
+    hi = np.where(flat, 0.0, (r + tol) / p)
+    rows = np.arange(am.shape[0])
+    best = np.argmax(lo, axis=1)
+    reach = hi >= lo[rows, best][:, None]
+    unsure = np.flatnonzero(reach.sum(axis=1) > 1)
+    if unsure.size:
+        ii, jj = np.nonzero(reach[unsure])
+        exact = np.full((unsure.size, bm.shape[0]), -np.inf)
+        exact[ii, jj] = _cosines(am, bm, na, nb, unsure[ii], jj)
+        best[unsure] = np.argmax(exact, axis=1)
+    return best, _cosines(am, bm, na, nb, rows, best)
 
 
 def cosine_sim(u, v) -> float:
     """Cosine similarity of two 1-D vectors in float64.
 
-    The one-pair case of ``cosine_matrix``: returns 0.0 if either
-    vector has norm below 1e-12.
+    The one-pair case of ``cosine_matrix``, bit for bit: returns 0.0 if
+    either vector has norm below COSINE_NORM_EPS.
     """
-    return float(cosine_matrix(np.reshape(u, (1, -1)), np.reshape(v, (1, -1)))[0, 0])
+    x = np.asarray(u, dtype=np.float64).reshape(1, -1)
+    y = np.asarray(v, dtype=np.float64).reshape(1, -1)
+    if x.shape != y.shape:
+        raise ValueError(f"cosine_sim length mismatch: {x.shape[1]} vs {y.shape[1]}")
+    zero = np.zeros(1, dtype=np.int64)
+    return float(_cosines(x, y, _norms(x), _norms(y), zero, zero)[0])
 
 
 def make_rng(seed: int) -> np.random.Generator:

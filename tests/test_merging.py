@@ -31,8 +31,31 @@ def oracle_match(keys, part, r):
     return rows[:r]
 
 
+def parent_soft_match(keys, part, r):
+    """soft_match as it was before cosine_argmax: the full cosine_matrix
+    and np.argmax. The new one must give the same merges and groups, bit
+    for bit."""
+    k = numerics.as_matrix(keys)
+    dst = np.asarray(part.dst_index, dtype=np.int64)
+    src = np.asarray(part.src_index, dtype=np.int64)
+    sims = numerics.cosine_matrix(k[src], k[dst])
+    j = np.argmax(sims, axis=1)
+    scores = sims[np.arange(src.shape[0]), j]
+    best = dst[j]
+    chosen = np.lexsort((src, -scores))[:r]
+    merges = tuple((int(src[i]), int(best[i]), float(scores[i])) for i in chosen)
+    keep = np.ones(k.shape[0], dtype=bool)
+    keep[src[chosen]] = False
+    members = [[i] for i in range(k.shape[0])]
+    for s, d, _ in sorted(merges):
+        members[d].append(s)
+    groups = tuple(tuple(members[i]) for i in np.flatnonzero(keep))
+    return merging.MatchResult(merges=merges, groups=groups)
+
+
 def oracle_merge(state, match, masses):
-    """Per-group weighted means computed independently."""
+    """Per-group weighted means, one numpy sum per group over its members
+    in listed order: the merge must equal these bit for bit."""
     feats = state.features.astype(np.float64)
     out_f, out_m = [], []
     for group in match.groups:
@@ -92,6 +115,55 @@ def test_soft_match_equals_exhaustive_oracle():
         for (s, d, sim), (es, ed, esim) in zip(match.merges, expect):
             assert (s, d) == (es, ed)
             assert sim == pytest.approx(esim, abs=1e-12)
+
+
+KEY_KINDS = ["gauss", "ints", "signed_zeros", "zero", "scaled", "copy"]
+
+
+def _key_pool(rng, kinds, width):
+    """Float32 key rows of the given kinds; a copy repeats the previous row,
+    a scaled row is the last drawn one times 2**40 or 2**-40."""
+    rows = [rng.normal(size=width)]
+    base = rows[0]
+    for kind in kinds:
+        if kind == "gauss":
+            v = rng.normal(size=width)
+        elif kind == "ints":
+            v = rng.integers(-2, 3, size=width)
+        elif kind == "signed_zeros":
+            v = rng.integers(-1, 2, size=width) * rng.integers(0, 2, size=width) * rng.choice([-1.0, 1.0], size=width)
+        elif kind == "zero":
+            v = np.zeros(width)
+        elif kind == "scaled":
+            v = base * 2.0 ** rng.choice([-40, 40])
+        else:
+            v = rows[-1]
+        rows.append(np.asarray(v, dtype=np.float64))
+        if kind not in ("scaled", "copy"):
+            base = rows[-1]
+    return np.array(rows, dtype=np.float32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    width=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(KEY_KINDS), min_size=6, max_size=6),
+    data=st.data(),
+)
+def test_soft_match_bytes_equal_parent(n, width, seed, kinds, data):
+    rng = numerics.make_rng(seed)
+    pool = _key_pool(rng, kinds, width)
+    keys = pool[rng.integers(0, len(pool), size=n)]  # rows repeat on both sides
+    if data.draw(st.booleans()):
+        keys = np.round(keys * 4)  # integer keys
+    part = merging.bipartition(n)
+    r = data.draw(st.integers(0, len(part.src_index)))
+    got, want = merging.soft_match(keys, part, r), parent_soft_match(keys, part, r)
+    assert got.groups == want.groups
+    assert [(s, d) for s, d, _ in got.merges] == [(s, d) for s, d, _ in want.merges]
+    assert np.float64([v for *_, v in got.merges]).tobytes() == np.float64([v for *_, v in want.merges]).tobytes()
 
 
 def test_soft_match_score_tie_prefers_lower_src():
@@ -163,8 +235,8 @@ def test_tome_merge_matches_oracle_and_conserves_mass():
         match = merging.soft_match(state.features, part, r)
         out = merging.tome_merge(state, match)
         ef, em = oracle_merge(state, match, state.masses)
-        assert_allclose(out.features, ef, rtol=0, atol=1e-6)
-        assert_allclose(out.masses, em, rtol=0, atol=1e-9)
+        assert out.features.tobytes() == ef.astype(np.float32).tobytes()
+        assert out.masses.tobytes() == em.tobytes()
         assert out.masses.sum() == pytest.approx(state.masses.sum(), abs=1e-5)
 
 
@@ -242,8 +314,45 @@ def test_vidtldr_merge_matches_oracle():
         masses = merging.vidtldr_mass_update(state, part, rng.uniform(size=n))
         out = merging.vidtldr_merge(state, match, masses)
         ef, em = oracle_merge(state, match, masses)
-        assert_allclose(out.features, ef, rtol=0, atol=1e-6)
+        assert out.features.tobytes() == ef.astype(np.float32).tobytes()
+        assert out.masses.tobytes() == em.tobytes()
         assert out.masses.sum() == pytest.approx(masses.sum(), abs=1e-5)
+
+
+def _random_groups(rng, n, largest):
+    """A partition of range(n) into groups of 1..largest members: a random
+    survivor first, then its sources in increasing position."""
+    perm = rng.permutation(n).tolist()
+    groups = []
+    while perm:
+        size = int(rng.integers(1, largest + 1))
+        head, perm = perm[:size], perm[size:]
+        groups.append((head[0], *sorted(head[1:])))
+    return tuple(groups)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    width=st.integers(1, 16),
+    largest=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merge_bytes_equal_per_group_loop(n, width, largest, seed):
+    rng = numerics.make_rng(seed)
+    feats = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-6, 7, size=(n, 1))
+    feats[rng.random(feats.shape) < 0.2] = 0.0
+    feats[rng.random(feats.shape) < 0.2] = -0.0
+    masses = MASS_EPS * 10.0 ** rng.uniform(0, 12, size=n)  # 12 decades
+    state = TokenState(numerics.as_matrix(feats), masses, np.arange(n, dtype=np.int64))
+    match = merging.MatchResult(merges=(), groups=_random_groups(rng, n, largest))
+    updated = MASS_EPS * 10.0 ** rng.uniform(0, 12, size=n)
+    for out, w in [(merging.tome_merge(state, match), masses),
+                   (merging.vidtldr_merge(state, match, updated), updated)]:
+        ef, em = oracle_merge(state, match, w)
+        assert out.features.tobytes() == ef.astype(np.float32).tobytes()
+        assert out.masses.tobytes() == em.tobytes()
+        assert out.provenance == oracle_merge_tubes(state.provenance, match)
 
 
 def test_shat_one_degenerates_to_tome():

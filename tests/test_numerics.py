@@ -369,6 +369,104 @@ def test_cosine_matrix_width_mismatch():
         numerics.cosine_matrix(np.ones(3), np.ones((2, 3)))
 
 
+def _cos_row(rng, kind, k, prev):
+    """One float32 key row of a kind; the twins are prev times 2**40 or 2**-40."""
+    if kind == "gauss":
+        v = rng.normal(size=k)
+    elif kind == "ints":  # small integers: many exactly equal cosines
+        v = rng.integers(-3, 4, size=k)
+    elif kind == "signed_zeros":
+        v = rng.integers(-2, 3, size=k) * rng.integers(0, 2, size=k) * rng.choice([-1.0, 1.0], size=k)
+    elif kind == "zero":
+        v = np.zeros(k)
+    elif kind == "negzero":
+        v = np.full(k, -0.0)
+    elif kind == "tiny":  # norms near COSINE_NORM_EPS
+        v = rng.normal(size=k) * 2.0**-40
+    elif kind == "twin_up":  # equal cosines at another magnitude
+        v = prev * 2.0**40
+    else:
+        v = prev * 2.0**-40
+    return np.asarray(v, dtype=np.float32)
+
+
+COS_KINDS = ["gauss", "ints", "signed_zeros", "zero", "negzero", "tiny", "twin_up", "twin_down"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(0, 12),
+    n=st.integers(1, 12),
+    k=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(COS_KINDS), min_size=8, max_size=8),
+    pick=st.lists(st.integers(0, 7), min_size=24, max_size=24),
+)
+@example(m=12, n=12, k=16, seed=0, kinds=["gauss"] * 8, pick=[0] * 24)  # all identical
+@example(m=5, n=7, k=1, seed=1, kinds=COS_KINDS, pick=list(range(8)) * 3)  # k = 1
+@example(m=4, n=4, k=8, seed=2, kinds=["zero", "negzero", "gauss", "twin_up"] * 2, pick=[0, 1, 2, 3] * 6)
+# Row 3 ties an orthogonal destination with a zero one; its best is the
+# zero one, whose interval is a single point.
+@example(m=4, n=5, k=5, seed=0, kinds=["ints", "ints", "signed_zeros"] + ["zero"] * 4 + ["ints"],
+         pick=[0, 0, 0, 1] + [0] * 11 + [7, 3] + [0] * 7)
+def test_cosine_argmax_property_equals_reference(m, n, k, seed, kinds, pick):
+    # Rows are drawn from a pool of eight, so both sides repeat rows.
+    rng = numerics.make_rng(seed)
+    pool, base = [], np.ones(k, dtype=np.float32)
+    for kind in kinds:
+        pool.append(_cos_row(rng, kind, k, base))
+        if not kind.startswith("twin"):
+            base = pool[-1]
+    pool = np.stack(pool)
+    a, b = pool[pick[:m]].reshape(m, k), pool[pick[12:12 + n]]
+    sims = numerics.cosine_matrix(a, b)
+    want = np.argmax(sims, axis=1)
+    j, v = numerics.cosine_argmax(a, b)
+    assert_array_equal(j, want)
+    assert v.tobytes() == sims[np.arange(m), want].tobytes()
+    for i in range(min(m, n)):
+        assert np.float64(numerics.cosine_sim(a[i], b[i])).tobytes() == sims[i, i].tobytes()
+
+
+def test_cosine_argmax_identical_keys_take_exact_path(monkeypatch):
+    # Every cosine of identical keys ties, so no row can be certified
+    # and every entry must be computed in k order.
+    pairs = []
+    cosines = numerics._cosines
+
+    def spy(a, b, na, nb, ii, jj):
+        pairs.append(ii.shape[0])
+        return cosines(a, b, na, nb, ii, jj)
+
+    monkeypatch.setattr(numerics, "_cosines", spy)
+    row = numerics.make_rng(3).normal(size=(1, 128)).astype(np.float32)
+    keys = np.repeat(row, 196, axis=0)
+    j, v = numerics.cosine_argmax(keys, keys)
+    assert pairs == [196 * 196, 196]  # every entry, then each row's value
+    sims = numerics.cosine_matrix(keys, keys)
+    assert_array_equal(j, np.zeros(196))
+    assert v.tobytes() == sims[:, 0].tobytes()
+
+
+def test_cosine_argmax_blas_order_never_decides():
+    # In k order 2**60 absorbs every 1.5 and then cancels, so the second
+    # destination's cosine is exactly 0.0 and ties the orthogonal first
+    # one; a BLAS sum in another order leaves it positive.
+    u = np.float32([[2.0**60] + [1.5] * 254 + [-(2.0**60)]])
+    ortho = np.zeros(256, dtype=np.float32)
+    ortho[1:3] = [1.0, -1.0]
+    b = np.stack([ortho, np.ones(256, dtype=np.float32)])
+    sims = numerics.cosine_matrix(u, b)
+    assert sims.tolist() == [[0.0, 0.0]]
+    j, v = numerics.cosine_argmax(u, b)
+    assert j.tolist() == [0] and v.tobytes() == np.float64([0.0]).tobytes()
+
+
+def test_cosine_argmax_width_mismatch():
+    with pytest.raises(ValueError):
+        numerics.cosine_argmax(np.ones((2, 3)), np.ones((2, 4)))
+
+
 def test_make_rng_reproducible():
     a = numerics.make_rng(42).normal(size=5)
     b = numerics.make_rng(42).normal(size=5)
