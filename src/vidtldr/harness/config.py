@@ -206,6 +206,8 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     })
     _validate(cfg)
     return cfg
+
+
 def _validate(cfg: RunConfig) -> None:
     try:
         spec = cfg.clip_spec()

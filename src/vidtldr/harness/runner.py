@@ -65,7 +65,7 @@ from ..model import (
     init_weights,
 )
 from .clips import SynthClip, synth_clip
-from .config import CLIP_IDENTITY, MERGE_MODES, InvariantError, RunConfig, load_config
+from .config import CLIP_IDENTITY, InvariantError, RunConfig, load_config
 from .tensorio import dump_tensor, load_tensor
 
 METRICS_HEADER = ["run_id", "mode", "layer", "token_count", "flops", "mean_saliency", "wall_ms"]
@@ -183,7 +183,7 @@ def _clean_forward(
 ) -> ForwardResult:
     return forward_clip(
         synth.clip, cfg.clip_spec(), cfg.model_config(), weights, [], NullReducer(),
-        proportional=False, keep_probs=keep_probs,
+        keep_probs=keep_probs,
     )
 
 
@@ -207,8 +207,7 @@ def run(cfg: RunConfig) -> RunResult:
     def reduced(rollout):
         return forward_clip(
             synth.clip, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
-            build_reducer(cfg.mode, rollout), proportional=cfg.mode in MERGE_MODES,
-            keep_probs=cfg.dump_attention,
+            build_reducer(cfg.mode, rollout), keep_probs=cfg.dump_attention,
         )
 
     if (

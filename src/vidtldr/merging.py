@@ -11,9 +11,8 @@ scored by its best cosine similarity to any destination over the given
 key vectors, the top r sources merge into their best destinations, and
 everything else survives unchanged. The best matches and their scores
 come from ``numerics.cosine_argmax``, the bits of an argmax over the
-full k-ordered cosine matrix. Merging is a mass-weighted mean, computed
-with whole-array operations for groups of one or two members and one
-group at a time for the rare larger ones.
+full k-ordered cosine matrix. Merging is a mass-weighted mean: one
+numpy expression per group, batched over all groups of the same size.
 The saliency-aware variant first rescales every source token's mass by
 its saliency score (merged or not), so background sources barely
 contribute to merged features and carry almost no mass forward.
@@ -185,14 +184,13 @@ def _merge_with_masses(state: TokenState, match: MatchResult, masses: np.ndarray
     """Shared merge core: mass-weighted means over the matched groups.
 
     Surviving tokens keep their original relative order. A group's mass
-    and float64 weighted feature sum are numpy sums over its members,
-    survivor first and merged sources in increasing position; numpy
-    starts each from +0.0. With one or two positive masses, and one or
-    two terms per feature, every summation order gives the same bits, so
-    groups of one and two members, nearly all of them, are merged with
-    whole-array operations that add the terms and then +0.0. Numpy's
-    order decides the bits of a larger group, so each of those is summed
-    by numpy itself.
+    is ``w.sum()`` and its feature ``(w[:, None] * f).sum(axis=0) /
+    mass``, over its members survivor first and merged sources in
+    increasing position. Groups of one size are stacked into a
+    ``(groups, size)`` batch and reduced along the member axis, which
+    relies on one condition: numpy reduces each row of a batch exactly
+    as it reduces that row alone. The byte oracle
+    test_merge_bytes_equal_per_group_loop checks it on each numpy build.
     """
     groups = match.groups
     sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
@@ -204,24 +202,13 @@ def _merge_with_masses(state: TokenState, match: MatchResult, masses: np.ndarray
     feats64 = state.features.astype(np.float64)
     out_feats = np.empty((len(groups), feats64.shape[1]), dtype=np.float64)
     out_mass = np.empty(len(groups), dtype=np.float64)
-
-    rows = np.flatnonzero(sizes == 1)
-    i = members[first[rows]]
-    out_mass[rows] = masses[i]
-    out_feats[rows] = (masses[i, None] * feats64[i] + 0.0) / masses[i, None]
-
-    rows = np.flatnonzero(sizes == 2)
-    i, j = members[first[rows]], members[first[rows] + 1]
-    total = masses[i] + masses[j]
-    out_mass[rows] = total
-    out_feats[rows] = (masses[i, None] * feats64[i] + masses[j, None] * feats64[j] + 0.0) / total[:, None]
-
-    for row in np.flatnonzero(sizes > 2):
-        idx = members[first[row]:first[row] + sizes[row]]
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        idx = members[first[rows, None] + np.arange(size)]  # (groups, size)
         w = masses[idx]
-        total = float(w.sum())
-        out_feats[row] = (w[:, None] * feats64[idx]).sum(axis=0) / total
-        out_mass[row] = total
+        total = w.sum(axis=1)
+        out_feats[rows] = (w[:, :, None] * feats64[idx]).sum(axis=1) / total[:, None]
+        out_mass[rows] = total
     return TokenState(
         features=out_feats.astype(np.float32),
         masses=out_mass,

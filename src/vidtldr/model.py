@@ -365,7 +365,6 @@ def forward_clip(
     weights: ModelWeights,
     schedule: list[int],
     reducer: Reducer,
-    proportional: bool,
     *,
     keep_probs: bool = False,
 ) -> ForwardResult:
@@ -374,12 +373,12 @@ def forward_clip(
     Layer l removes schedule[l] tokens between its attention block and
     its MLP. costmodel.plan_schedule checks the schedule up front, with
     the floor(n/2) merge limit for a reducer whose ``merging`` is true.
+    Proportional attention applies exactly when the reducer merges.
     Each layer's trace keeps its (heads, n, n) probs only with
     ``keep_probs``, and never its keys.
     """
-    full = plan_schedule(
-        spec.n_tokens, cfg.layers, schedule, merging=getattr(reducer, "merging", False)
-    )
+    merges = getattr(reducer, "merging", False)
+    full = plan_schedule(spec.n_tokens, cfg.layers, schedule, merging=merges)
     state = embed_clip(clip, spec, weights)
     tube_groups = spec.tube_frame_groups()
     traces = []
@@ -387,7 +386,7 @@ def forward_clip(
         t0 = time.perf_counter()
         n_in = state.count
         state, maps = attention_forward(
-            state, lw, cfg, tube_groups, spec.n_groups, proportional
+            state, lw, cfg, tube_groups, spec.n_groups, merges
         )
         if r > 0:
             state = reducer.reduce(state, maps, r, layer)

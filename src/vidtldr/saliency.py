@@ -17,7 +17,6 @@ layer); maps are float32 matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -116,25 +115,11 @@ def masked_saliency(raw, mask, mean: float) -> np.ndarray:
     return shifted / peak
 
 
-@dataclass(frozen=True)
-class SaliencyScores:
-    """Raw, mask, and masked values of one map's saliency."""
-
-    raw: np.ndarray     # s, min-max normalized sharpness
-    mask: np.ndarray    # M, boolean foreground indicator
-    masked: np.ndarray  # s-hat, background-suppressed and rescaled
-
-
-def score_map(head_mean_probs) -> SaliencyScores:
-    """Full sharpness/mask/masked pipeline over one attention map."""
+def masked_saliency_from_map(head_mean_probs) -> np.ndarray:
+    """Full sharpness, mask and masked-saliency pipeline over one attention map."""
     raw = sharpness_saliency(head_mean_probs)
     mask, mean = background_mask(raw)
-    return SaliencyScores(raw=raw, mask=mask, masked=masked_saliency(raw, mask, mean))
-
-
-def masked_saliency_from_map(head_mean_probs) -> np.ndarray:
-    """Shorthand for score_map(...).masked."""
-    return score_map(head_mean_probs).masked
+    return masked_saliency(raw, mask, mean)
 
 
 def frame_score_ratio(scores, frame_of, n_groups: int) -> np.ndarray:

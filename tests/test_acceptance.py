@@ -102,6 +102,8 @@ def tiny_setup(seed, pattern, tau, layers=4):
 class UnitScoreMergeReducer:
     """Saliency-aware merge pipeline with the score multiplier pinned to 1."""
 
+    merging = True
+
     def reduce(self, state, maps, r, layer):
         part = merging.bipartition(state.count)
         match = merging.soft_match(maps.keys, part, r)
@@ -110,6 +112,8 @@ class UnitScoreMergeReducer:
 
 
 class RecordingTomeReducer:
+    merging = True
+
     def __init__(self):
         self.events = []
 
@@ -123,6 +127,8 @@ class RecordingTomeReducer:
 
 
 class RecordingVidTldrReducer:
+    merging = True
+
     def __init__(self):
         self.events = []
 
@@ -228,10 +234,10 @@ def test_criterion_04_unit_score_degeneration(capsys):
         cfg, synth, weights = tiny_setup(1000 + i, PATTERNS[i % 3], tau)
         schedule = draw_schedule(rng, TINY.n_tokens, 3)
         a = forward_clip(
-            synth.clip, TINY, cfg, weights, schedule, UnitScoreMergeReducer(), True
+            synth.clip, TINY, cfg, weights, schedule, UnitScoreMergeReducer()
         )
         b = forward_clip(
-            synth.clip, TINY, cfg, weights, schedule, TomeReducer(), True
+            synth.clip, TINY, cfg, weights, schedule, TomeReducer()
         )
         sa, sb = a.final_state, b.final_state
         assert sa.provenance == sb.provenance
@@ -253,7 +259,7 @@ def test_criterion_05_mass_conservation(capsys):
         reducer = RecordingTomeReducer() if use_tome else RecordingVidTldrReducer()
         cfg, synth, weights = tiny_setup(3000 + i, PATTERNS[i % 3], 0.6)
         schedule = draw_schedule(rng, TINY.n_tokens, 3)
-        res = forward_clip(synth.clip, TINY, cfg, weights, schedule, reducer, True)
+        res = forward_clip(synth.clip, TINY, cfg, weights, schedule, reducer)
         for pre, post in reducer.events:
             merges += 1
             max_err = max(max_err, abs(post - pre))
@@ -340,7 +346,7 @@ def test_criterion_08_foreground_discrimination(capsys):
         clip_seed, weight_seed = numerics.spawn_seeds(seed, 2)
         synth = synth_clip(DESK, clip_seed, "moving-blob")
         weights = init_weights(cfg, DESK, weight_seed)
-        res = forward_clip(synth.clip, DESK, cfg, weights, [], NullReducer(), False)
+        res = forward_clip(synth.clip, DESK, cfg, weights, [], NullReducer())
         shat = saliency.masked_saliency_from_map(res.traces[1].maps.head_mean_probs)
         fg = np.zeros(DESK.n_tokens, dtype=bool)
         fg[list(synth.foreground)] = True
@@ -364,7 +370,7 @@ def test_criterion_09_temporal_bias_mitigation(capsys):
         clip_seed, weight_seed = numerics.spawn_seeds(seed, 2)
         synth = synth_clip(DESK, clip_seed, "front-loaded")
         weights = init_weights(cfg, DESK, weight_seed)
-        res = forward_clip(synth.clip, DESK, cfg, weights, [], NullReducer(), False)
+        res = forward_clip(synth.clip, DESK, cfg, weights, [], NullReducer())
         first = res.traces[0].maps.head_mean_probs
         ra = saliency.frame_score_ratio(
             saliency.attentiveness(first), frame_of, DESK.n_groups
@@ -440,10 +446,7 @@ def test_criterion_11_schedule_count_contract(capsys):
     for i in range(100):
         schedule = draw_schedule(rng, MID.n_tokens, 4, force_first=False)
         make = reducers[i % 3]
-        proportional = i % 3 != 2
-        res = forward_clip(
-            synth.clip, MID, cfg, weights, schedule, make(), proportional
-        )
+        res = forward_clip(synth.clip, MID, cfg, weights, schedule, make())
         expect = MID.n_tokens - sum(schedule)
         finals.append(res.final_state.count)
         if res.final_state.count != expect or res.traces[-1].tokens_out != expect:

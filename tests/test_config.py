@@ -1,4 +1,7 @@
 import dataclasses
+import itertools
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,8 @@ from hypothesis import strategies as st
 from vidtldr.costmodel import plan_schedule
 from vidtldr.harness import config
 from vidtldr.harness.config import ConfigError, InvariantError, parse_config_text
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_minimal_config_uses_defaults():
@@ -162,6 +167,26 @@ def test_clip_identity_is_clip_keys_and_seed():
     assert config.CLIP_IDENTITY == (
         "frames", "height", "width", "tube", "patch", "channels", "pattern", "seed"
     )
+
+
+def test_readme_config_table_matches_schema():
+    """README's "Configuration keys" table names exactly RunConfig's keys,
+    each once, with its default: ``required`` where there is none,
+    ``empty`` for the empty string, else the default text in backquotes."""
+    lines = README.read_text(encoding="utf-8").split("### Configuration keys", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:]))[2:]
+    documented = []
+    for row in rows:
+        keys, default = [cell.strip() for cell in row.strip("|").split("|")][:2]
+        documented += [(key, default) for key in re.findall(r"`([^`]+)`", keys)]
+
+    def shown(default):
+        return {None: "required", "": "empty"}.get(default, f"`{default}`")
+
+    expected = [(f.metadata["key"], shown(f.metadata["default"]))
+                for f in dataclasses.fields(config.RunConfig)]
+    assert sorted(documented) == sorted(expected)
 
 
 @st.composite

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -335,9 +335,12 @@ def _random_groups(rng, n, largest):
 @given(
     n=st.integers(1, 60),
     width=st.integers(1, 16),
-    largest=st.integers(1, 10),
+    largest=st.integers(1, 20),
     seed=st.integers(0, 2**32 - 1),
 )
+# groups of 19, 19, 7 and 3 members: three sizes in one call, and two rows
+# of a size past the 8 terms from which numpy sums a 1-D array pairwise
+@example(n=48, width=5, largest=20, seed=21)
 def test_merge_bytes_equal_per_group_loop(n, width, largest, seed):
     rng = numerics.make_rng(seed)
     feats = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-6, 7, size=(n, 1))

@@ -324,7 +324,7 @@ def test_mlp_matches_hand_computation():
 
 def test_forward_zero_schedule_matches_trajectory():
     cfg, clip, weights = small_setup(23)
-    res = model.forward_clip(clip, SMALL, cfg, weights, [], model.NullReducer(), False)
+    res = model.forward_clip(clip, SMALL, cfg, weights, [], model.NullReducer())
     assert [tr.tokens_out for tr in res.traces] == [8, 8, 8]
     assert res.final_state.count == 8
     merging.check_state(res.final_state, 8)
@@ -332,9 +332,7 @@ def test_forward_zero_schedule_matches_trajectory():
 
 def test_forward_reduction_counts():
     cfg, clip, weights = small_setup(29)
-    res = model.forward_clip(
-        clip, SMALL, cfg, weights, [2, 2], model.TomeReducer(), True
-    )
+    res = model.forward_clip(clip, SMALL, cfg, weights, [2, 2], model.TomeReducer())
     assert [tr.tokens_in for tr in res.traces] == [8, 6, 4]
     assert [tr.tokens_out for tr in res.traces] == [6, 4, 4]
     assert res.final_state.count == 4
@@ -343,9 +341,7 @@ def test_forward_reduction_counts():
 
 def test_forward_provenance_partition_preserved():
     cfg, clip, weights = small_setup(31)
-    res = model.forward_clip(
-        clip, SMALL, cfg, weights, [3, 1], model.VidTldrReducer(), True
-    )
+    res = model.forward_clip(clip, SMALL, cfg, weights, [3, 1], model.VidTldrReducer())
     covered = sorted(t for tubes in res.final_state.provenance for t in tubes)
     assert covered == list(range(8))
 
@@ -353,22 +349,22 @@ def test_forward_provenance_partition_preserved():
 def test_forward_infeasible_schedule():
     cfg, clip, weights = small_setup(37)
     with pytest.raises(InfeasibleScheduleError):
-        model.forward_clip(clip, SMALL, cfg, weights, [4, 4], model.TomeReducer(), True)
+        model.forward_clip(clip, SMALL, cfg, weights, [4, 4], model.TomeReducer())
     # merging reducers are planned with the floor(n/2) limit, pruning is not
     with pytest.raises(InfeasibleScheduleError, match="merge"):
-        model.forward_clip(clip, SMALL, cfg, weights, [5], model.TomeReducer(), True)
+        model.forward_clip(clip, SMALL, cfg, weights, [5], model.TomeReducer())
     pruner = model.PruneReducer(lambda state, maps, layer: state.masses)
-    res = model.forward_clip(clip, SMALL, cfg, weights, [5], pruner, False)
+    res = model.forward_clip(clip, SMALL, cfg, weights, [5], pruner)
     assert res.final_state.count == 3
     with pytest.raises(ValueError):
-        model.forward_clip(clip, SMALL, cfg, weights, [1] * 4, model.TomeReducer(), True)
+        model.forward_clip(clip, SMALL, cfg, weights, [1] * 4, model.TomeReducer())
 
 
 def test_forward_deterministic():
     cfg, clip, weights = small_setup(41)
 
     def forward(**kw):
-        return model.forward_clip(clip, SMALL, cfg, weights, [2], model.VidTldrReducer(), True, **kw)
+        return model.forward_clip(clip, SMALL, cfg, weights, [2], model.VidTldrReducer(), **kw)
 
     a, b, c = forward(keep_probs=True), forward(keep_probs=True), forward()
     for other in (b, c):
@@ -385,7 +381,7 @@ def test_forward_deterministic():
 def test_null_reducer_refuses_reduction():
     cfg, clip, weights = small_setup(43)
     with pytest.raises(RuntimeError):
-        model.forward_clip(clip, SMALL, cfg, weights, [2], model.NullReducer(), False)
+        model.forward_clip(clip, SMALL, cfg, weights, [2], model.NullReducer())
 
 
 def test_reducers_produce_expected_counts():
@@ -395,5 +391,5 @@ def test_reducers_produce_expected_counts():
         model.VidTldrReducer(),
         model.PruneReducer(lambda state, maps, layer: state.masses),
     ):
-        res = model.forward_clip(clip, SMALL, cfg, weights, [2, 1], reducer, False)
+        res = model.forward_clip(clip, SMALL, cfg, weights, [2, 1], reducer)
         assert res.final_state.count == 5

@@ -376,8 +376,7 @@ def test_results_hold_no_per_head_tensors(tmp_path, monkeypatch, mode, dump, gat
     rollout = saliency.attention_rollout(runner.clean_forward(cfg).head_mean_maps())
     direct = model.forward_clip(
         synth.clip, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
-        runner.build_reducer(mode, rollout), proportional=mode in MERGE_MODES,
-        keep_probs=True,
+        runner.build_reducer(mode, rollout), keep_probs=True,
     )
     assert [p.name for p in dumps] == [f"attention_l{l:02d}.vtdr" for l in range(4)]
     for path, tr in zip(dumps, direct.traces):

@@ -183,22 +183,25 @@ def test_masked_saliency_empty_mask_falls_back_to_ones():
 def test_masked_saliency_never_resurrects():
     rng = numerics.make_rng(17)
     for _ in range(20):
-        scores = saliency.score_map(random_stochastic(rng, 10))
-        zeroed = scores.masked == 0.0
-        mask2, mean2 = saliency.background_mask(scores.masked)
-        remasked = saliency.masked_saliency(scores.masked, mask2, mean2)
+        masked = saliency.masked_saliency_from_map(random_stochastic(rng, 10))
+        zeroed = masked == 0.0
+        mask2, mean2 = saliency.background_mask(masked)
+        remasked = saliency.masked_saliency(masked, mask2, mean2)
         assert (remasked[zeroed] == 0.0).all()
 
 
 def test_score_map_invariants():
     rng = numerics.make_rng(19)
     for _ in range(10):
-        scores = saliency.score_map(random_stochastic(rng, 9))
-        assert scores.raw.min() == 0.0
-        assert scores.raw.max() == 1.0
-        assert (scores.masked[~scores.mask] == 0.0).all()
-        if scores.mask.any():
-            assert scores.masked.max() == pytest.approx(1.0, abs=1e-12)
+        probs = random_stochastic(rng, 9)
+        raw = saliency.sharpness_saliency(probs)
+        mask, _ = saliency.background_mask(raw)
+        masked = saliency.masked_saliency_from_map(probs)
+        assert raw.min() == 0.0
+        assert raw.max() == 1.0
+        assert (masked[~mask] == 0.0).all()
+        if mask.any():
+            assert masked.max() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_frame_score_ratio_uniform():
