@@ -39,7 +39,8 @@ MODES = (
     "prune-sharpness",
 )
 # Modes that reduce by bipartite soft matching: they run proportional
-# attention and merge at most floor(n/2) tokens per layer.
+# attention and merge at most floor(n/2) tokens per layer. Exactly their
+# reducers in runner.build_reducer set ``merging`` (a test checks this).
 MERGE_MODES = ("tome", "vidtldr")
 PATTERNS = ("noise", "moving-blob", "front-loaded")
 

@@ -15,19 +15,26 @@ its artifacts under <out.dir>/<run_id>/:
 
 The two forwards share only the clip and the weights, both read-only,
 except in prune-rollout, whose reducer reads the clean forward's
-rollout table (baseline's result is the clean forward itself). In the
-other modes the reduced forward runs on a worker thread while the
-calling thread runs the clean forward and the rollout, when the run's
-analytical MACs reach CONCURRENT_MIN_MACS and the process may use at
-least two CPUs. Below that, the threads would mostly wait for the
-interpreter lock, so the forwards run one after the other. The choice
-does not change an output bit: every product is certified independent
-of BLAS's summation order, and nothing reachable from forward_clip
-keeps state between calls.
+rollout table (baseline's result is the clean forward itself).
+
+A run whose analytical MACs reach CONCURRENT_MIN_MACS, on a process
+that may use at least two CPUs, uses three threads. A pool thread
+draws the weights into a model.WeightStream while the calling thread
+builds the clip, and each forward waits only for the layer it is about
+to run. In every mode but baseline and prune-rollout, the pool's other
+thread then runs the reduced forward while the calling thread runs the
+clean forward and the rollout. clean_forward streams its weights the
+same way. Below that size the threads would mostly wait for the
+interpreter lock, so everything runs on the calling thread. The choice
+does not change an output bit: the draw order is init_weights' alone,
+every product is certified independent of BLAS's summation order, and
+nothing reachable from forward_clip keeps state between calls. A call
+joins every thread it starts before it returns or raises.
 
 Everything except the wall_ms column is byte-reproducible for a fixed
-config. wall_ms times each layer of the mode's forward, which on the
-overlapping path shares the CPU with the clean forward.
+config. wall_ms times each layer of the mode's forward, from the moment
+its weights are drawn; on a large run it shares the CPU with the other
+threads.
 
 The artifacts are first written into a new hidden directory under
 out.dir, which is then renamed to <run_id>/, replacing the directory of
@@ -47,6 +54,7 @@ import os
 import shutil
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,6 +69,7 @@ from ..model import (
     PruneReducer,
     TomeReducer,
     VidTldrReducer,
+    WeightStream,
     forward_clip,
     init_weights,
 )
@@ -162,24 +171,48 @@ def write_frame_ratios(path: Path, ratios: np.ndarray) -> None:
 
 
 def clip_and_weights(cfg: RunConfig) -> tuple[SynthClip, ModelWeights]:
-    """Build a run's clip and weights, both read-only.
+    """Build a run's clip and weights on this thread, both read-only."""
+    with _inputs(cfg, stream=False) as (synth, weights, _):
+        return synth, weights
+
+
+@contextmanager
+def _inputs(cfg: RunConfig, stream: bool):
+    """Yield a run's clip, its weights and a two-thread pool, or None.
 
     run.seed derives two child seeds, one for the clip voxels and one
-    for the model weights.
+    for the model weights. With ``stream``, a pool thread draws the
+    weights into a WeightStream while this thread builds the clip, and
+    the pool's other thread is free for the reduced forward. Leaving
+    the block, also by an exception, joins both threads.
     """
     spec = cfg.clip_spec()
     clip_seed, weight_seed = numerics.spawn_seeds(cfg.seed, 2)
-    synth = synth_clip(spec, clip_seed, cfg.pattern)
-    return synth, init_weights(cfg.model_config(), spec, weight_seed)
+    if not stream:
+        synth = synth_clip(spec, clip_seed, cfg.pattern)
+        yield synth, init_weights(cfg.model_config(), spec, weight_seed), None
+        return
+    weights = WeightStream(cfg.layers)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        drawing = pool.submit(weights.draw, cfg.model_config(), spec, weight_seed)
+        yield synth_clip(spec, clip_seed, cfg.pattern), weights, pool
+    drawing.result()
+
+
+def _two_threads(macs: int) -> bool:
+    """Whether a forward of ``macs`` analytical MACs gains from a second thread."""
+    return macs >= CONCURRENT_MIN_MACS and _usable_cpus() >= 2
 
 
 def clean_forward(cfg: RunConfig) -> ForwardResult:
     """A run's no-reduction forward."""
-    return _clean_forward(cfg, *clip_and_weights(cfg))
+    macs = costmodel.schedule_flops(cfg.cost_config(), []).total_flops
+    with _inputs(cfg, stream=_two_threads(macs)) as (synth, weights, _):
+        return _clean_forward(cfg, synth, weights)
 
 
 def _clean_forward(
-    cfg: RunConfig, synth: SynthClip, weights: ModelWeights, keep_probs: bool = False
+    cfg: RunConfig, synth: SynthClip, weights, keep_probs: bool = False
 ) -> ForwardResult:
     return forward_clip(
         synth.clip, cfg.clip_spec(), cfg.model_config(), weights, [], NullReducer(),
@@ -196,30 +229,24 @@ def _usable_cpus() -> int:
 def run(cfg: RunConfig) -> RunResult:
     """Execute one configured run and write its artifacts."""
     cost = costmodel.schedule_flops(cfg.cost_config(), cfg.schedule)
-    synth, weights = clip_and_weights(cfg)
     # Only the forward whose attention is dumped keeps its per-head probs.
     dump_clean = cfg.dump_attention and cfg.mode == "baseline"
+    with _inputs(cfg, stream=_two_threads(cost.total_flops)) as (synth, weights, pool):
 
-    def clean_and_rollout():
-        clean = _clean_forward(cfg, synth, weights, keep_probs=dump_clean)
-        return clean, saliency.attention_rollout(clean.head_mean_maps())
+        def clean_and_rollout():
+            clean = _clean_forward(cfg, synth, weights, keep_probs=dump_clean)
+            return clean, saliency.attention_rollout(clean.head_mean_maps())
 
-    def reduced(rollout):
-        return forward_clip(
-            synth.clip, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
-            build_reducer(cfg.mode, rollout), keep_probs=cfg.dump_attention,
-        )
+        def reduced(rollout):
+            return forward_clip(
+                synth.clip, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
+                build_reducer(cfg.mode, rollout), keep_probs=cfg.dump_attention,
+            )
 
-    if (
-        cfg.mode in ("baseline", "prune-rollout")
-        or cost.total_flops < CONCURRENT_MIN_MACS
-        or _usable_cpus() < 2
-    ):
-        clean, rollout = clean_and_rollout()
-        result = clean if cfg.mode == "baseline" else reduced(rollout)
-    else:
-        # Leaving the block joins the worker, also when the clean forward raises.
-        with ThreadPoolExecutor(max_workers=1) as pool:
+        if pool is None or cfg.mode in ("baseline", "prune-rollout"):
+            clean, rollout = clean_and_rollout()
+            result = clean if cfg.mode == "baseline" else reduced(rollout)
+        else:
             pending = pool.submit(reduced, None)
             clean, rollout = clean_and_rollout()
             result = pending.result()

@@ -9,8 +9,9 @@ hashed without its wall_ms column, the one value outside the
 determinism contract.
 
 The golden shapes sit below runner.CONCURRENT_MIN_MACS, so one test
-runs the matrix again with the gate at 0, where each run whose mode
-allows it overlaps its two forwards on two threads.
+runs the matrix again with the gate at 0, where every run draws its
+weights on a second thread while its forwards read them, and each run
+whose mode allows it also overlaps its two forwards.
 
 The table must also hold under another BLAS kernel: one test runs the
 matrix in a child process with OPENBLAS_CORETYPE=Prescott, which
@@ -125,18 +126,22 @@ def test_digests_hold_on_the_concurrent_path(tmp_path, monkeypatch):
     submitted = []
 
     class SpyExecutor(runner.ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            submitted.append(args)
-            return super().submit(*args, **kwargs)
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn.__name__)
+            return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(runner, "ThreadPoolExecutor", SpyExecutor)
     monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", 0)
     monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
     monkeypatch.chdir(tmp_path)
     assert artifact_digests() == json.loads(TABLE.read_text())
+    runs = [name for name, _ in _runs()]
     serial = {"baseline", "prune-rollout"}
-    overlapping = [name for name, _ in _runs() if not serial & set(name.split("/"))]
-    assert len(submitted) == len(overlapping) == 15
+    overlapping = [name for name in runs if not serial & set(name.split("/"))]
+    assert len(runs) == 21 and len(overlapping) == 15
+    assert submitted.count("draw") == len(runs)
+    assert submitted.count("reduced") == len(overlapping)
+    assert len(submitted) == 36
 
 
 def _python(env, cwd, *args) -> str:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import struct
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -209,6 +210,13 @@ def test_build_reducer_rejects_unknown_mode():
         runner.build_reducer("fancy", [])
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_merge_modes_are_the_merging_reducers(mode):
+    # config plans schedules from MERGE_MODES; forward_clip from the reducer.
+    reducer = runner.build_reducer(mode, np.zeros((4, 8, 8)))
+    assert getattr(reducer, "merging", False) == (mode in MERGE_MODES)
+
+
 def test_compute_frame_ratios_shape(tmp_path):
     res = runner.run(make_cfg(tmp_path, mode="baseline", schedule=""))
     rollout = saliency.attention_rollout(res.clean.head_mean_maps())
@@ -219,13 +227,19 @@ def test_compute_frame_ratios_shape(tmp_path):
 
 @pytest.fixture
 def executors(monkeypatch):
-    """Records each executor runner.run starts; the gate is open at any size."""
+    """Records each executor runner starts, with the names of the tasks
+    submitted to it; the gate is open at any size."""
     started = []
 
     class SpyExecutor(ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
+            self.tasks = []
             started.append(self)
             super().__init__(*args, **kwargs)
+
+        def submit(self, fn, /, *args, **kwargs):
+            self.tasks.append(fn.__name__)
+            return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(runner, "ThreadPoolExecutor", SpyExecutor)
     monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", 0)
@@ -248,19 +262,39 @@ def test_usable_cpus_counts_at_least_one():
     assert runner._usable_cpus() >= 1
 
 
+def _mode_cfg(tmp_path, mode):
+    return make_cfg(tmp_path, mode=mode, schedule="" if mode == "baseline" else "2,2")
+
+
 def test_serial_runs_start_no_thread(tmp_path, executors, monkeypatch):
-    runner.run(make_cfg(tmp_path, mode="baseline", schedule=""))
-    runner.run(make_cfg(tmp_path, mode="prune-rollout"))
-    assert executors == []
+    threads = threading.active_count()
     monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", 10**8)
-    cfg = make_cfg(tmp_path, mode="vidtldr")
-    assert costmodel.schedule_flops(cfg.cost_config(), cfg.schedule).total_flops < 10**8
-    runner.run(cfg)
+    for mode in MODES:  # below the size test
+        cfg = _mode_cfg(tmp_path, mode)
+        assert costmodel.schedule_flops(cfg.cost_config(), []).total_flops < 10**8
+        runner.run(cfg)
+        runner.clean_forward(cfg)
     assert executors == []
     monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", 0)
-    runner.run(cfg)
+    for mode in MODES:  # on one CPU
+        runner.run(_mode_cfg(tmp_path, mode))
+    runner.clean_forward(cfg)
     assert executors == []
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_large_runs_draw_weights_on_a_second_thread(tmp_path, executors, mode):
+    threads = threading.active_count()
+    cfg = _mode_cfg(tmp_path, mode)
+    res = runner.run(cfg)
+    overlapped = mode not in ("baseline", "prune-rollout")
+    assert [e.tasks for e in executors] == [["draw", "reduced"] if overlapped else ["draw"]]
+    runner.clean_forward(cfg)
+    assert [e.tasks for e in executors][1:] == [["draw"]]
+    assert threading.active_count() == threads
+    assert res.final_state.count == (8 if mode == "baseline" else 4)
 
 
 class Boom(Exception):
@@ -269,6 +303,24 @@ class Boom(Exception):
 
 def _boom(*args, **kwargs):
     raise Boom("raised on purpose")
+
+
+def _run_with_deadline(cfg, seconds=60):
+    """runner.run(cfg) on a daemon thread: what it raised, or None; fails
+    the test instead of hanging it."""
+    raised = []
+
+    def call():
+        try:
+            runner.run(cfg)
+        except BaseException as e:  # handed to the test's thread
+            raised.append(e)
+
+    t = threading.Thread(target=call, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), "runner.run hung"
+    return raised[0] if raised else None
 
 
 @pytest.mark.parametrize("where", ["reduced", "clean"])
@@ -280,7 +332,64 @@ def test_forward_failure_reaches_caller_and_joins_worker(tmp_path, executors, mo
     threads = threading.active_count()
     with pytest.raises(Boom):
         runner.run(make_cfg(tmp_path, mode="tome"))
-    assert len(executors) == 1
+    assert [e.tasks for e in executors] == [["draw", "reduced"]]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("mode", ["baseline", "vidtldr"])
+@pytest.mark.parametrize("piece", [0, 1, 4])  # the embedding, layer 0, the last layer
+def test_draw_failure_reaches_caller(tmp_path, executors, monkeypatch, mode, piece):
+    real = model.init_weights
+    tried = []
+
+    def fail_on_piece(cfg, spec, seed, publish):
+        def publish_or_fail(p):
+            tried.append(p)
+            if len(tried) == piece + 1:
+                raise Boom("raised on purpose")
+            publish(p)
+
+        return real(cfg, spec, seed, publish=publish_or_fail)
+
+    monkeypatch.setattr(model, "init_weights", fail_on_piece)
+    threads = threading.active_count()
+    assert isinstance(_run_with_deadline(_mode_cfg(tmp_path, mode)), Boom)
+    assert len(tried) == piece + 1
+    assert len(executors) == 1 and executors[0].tasks[0] == "draw"
+    assert threading.active_count() == threads
+    out = tmp_path / "out"
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["baseline", "vidtldr"])
+def test_forward_failure_joins_a_running_draw(tmp_path, executors, monkeypatch, mode):
+    real = model.init_weights
+    raised = threading.Event()
+    published, finished = [], []
+
+    def slow_draw(cfg, spec, seed, publish):
+        def publish_late(p):
+            if len(published) == 2:  # hold layer 1 back until a forward raised
+                assert raised.wait(30)
+                time.sleep(0.2)
+            publish(p)
+            published.append(p)
+
+        weights = real(cfg, spec, seed, publish=publish_late)
+        finished.append(True)
+        return weights
+
+    def attention_forward(*args):
+        assert not finished  # the draw is still running
+        raised.set()
+        raise Boom("raised on purpose")
+
+    monkeypatch.setattr(model, "init_weights", slow_draw)
+    monkeypatch.setattr(model, "attention_forward", attention_forward)
+    threads = threading.active_count()
+    assert isinstance(_run_with_deadline(_mode_cfg(tmp_path, mode)), Boom)
+    # The draw ran to its end before runner.run raised, and its thread is gone.
+    assert finished == [True] and len(published) == 5
     assert threading.active_count() == threads
 
 
