@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 from typing import Protocol
 
 import numpy as np
-from scipy.special import erf
 
 from . import merging, numerics, saliency
 from .costmodel import MLP_RATIO, plan_schedule
@@ -42,6 +41,10 @@ from .costmodel import MLP_RATIO, plan_schedule
 WEIGHT_STD = 0.02
 QK_COUPLING = 0.7
 LAYERNORM_EPS = 1e-5
+# Elements per block of gelu: small enough that its float64 temporaries
+# stay in cache, large enough that two threads running gelu at once make
+# few numpy calls, each of which takes the interpreter lock.
+GELU_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -229,14 +232,26 @@ def layer_norm(x) -> np.ndarray:
 
 
 def gelu(x) -> np.ndarray:
-    """Exact (erf-based) GELU: 0.5 * x * (1 + erf(x / sqrt(2))), in float64."""
-    m = numerics.as_matrix(x).astype(np.float64)
-    t = m / math.sqrt(2.0)
-    erf(t, out=t)
-    t += 1.0
-    m *= 0.5
-    m *= t
-    return m.astype(np.float32)
+    """Exact (erf-based) GELU: 0.5 * x * (1 + erf(x / sqrt(2))), in float64.
+
+    ``numerics.erf`` gives Cephes' erf (``scipy.special.erf``) bit for
+    bit. It assumes only that ``math.exp`` is the C library's exp, the
+    one Cephes calls, and calls it only where |x| > sqrt(2), which no
+    input at the model's scales reaches. gelu runs on whole rows of
+    about GELU_BLOCK elements at a time; every element takes the same
+    operations in the same order as in one whole-array pass.
+    """
+    x32 = numerics.as_matrix(x)
+    out = np.empty(x32.shape, dtype=np.float32)
+    rows = max(1, GELU_BLOCK // max(x32.shape[1], 1))
+    for start in range(0, x32.shape[0], rows):
+        m = x32[start:start + rows].astype(np.float64)
+        t = numerics.erf(m / math.sqrt(2.0))
+        t += 1.0
+        m *= 0.5
+        m *= t
+        out[start:start + rows] = m
+    return out
 
 
 def embed_clip(clip: np.ndarray, spec: ClipSpec, weights: ModelWeights) -> merging.TokenState:

@@ -23,10 +23,15 @@ order, which holds for blocked and FMA kernels but not for
 Strassen-type algorithms. ``cosine_matrix``, the reference the tests
 compare ``cosine_argmax`` against, and ``cosine_sim``, its one-pair
 case, are plain k-ordered sums. ``row_softmax`` and
-``row_neg_entropy`` use numpy's pairwise row sums.
+``row_neg_entropy`` use numpy's pairwise row sums. ``erf`` is Cephes'
+erf, so ``scipy.special.erf``, bit for bit, from numpy's basic
+operations, which round alike on every SIMD path; it assumes only that
+``math.exp`` is the C library's exp, the one Cephes calls.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,6 +47,27 @@ STOCHASTIC_ATOL = 1e-5
 # Products per block of matmul's fallback, which bounds its memory
 # however many elements the certificate rejects.
 FALLBACK_BLOCK = 2**16
+
+# Cephes ndtr.c's coefficients, highest degree first: erf on |t| <= 1
+# is t * T(t*t) / U(t*t); erfc is exp(-x*x) * P(x) / Q(x) on 1 < x < 8
+# and exp(-x*x) * R(x) / S(x) from 8 up. U, Q and S have an implicit
+# leading 1.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285307009E0, 3.36907645100081516050E0)
+# erfc is 0 where -x*x < -MAXLOG, the log of the largest float64.
+_MAXLOG = 7.09782712893383996843E2
 
 
 def as_matrix(a) -> np.ndarray:
@@ -200,6 +226,73 @@ def row_neg_entropy(p) -> np.ndarray:
     )
     vals = terms.sum(axis=1)
     return np.clip(vals, -np.log(float(n)), 0.0).astype(np.float64)
+
+
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Cephes polevl: p = coef[0], then p = p * x + c for each later c."""
+    p = x * coef[0]
+    p += coef[1]
+    for c in coef[2:]:
+        p *= x
+        p += c
+    return p
+
+
+def _p1evl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Cephes p1evl: ``_polevl`` with an implicit leading coefficient 1."""
+    p = x + coef[0]
+    for c in coef[1:]:
+        p *= x
+        p += c
+    return p
+
+
+def _erf_far(t: np.ndarray) -> np.ndarray:
+    """erf(t) for 1-D t with |t| > 1 or NaN: 1 - erfc(|t|), negated where
+    t < 0, and the quiet NaN 0x7ff8000000000000 where t is NaN, as Cephes
+    returns."""
+    x = np.abs(t)
+    z = -x * x
+    under = z < -_MAXLOG
+    live = np.flatnonzero(~under)
+    e = np.zeros_like(x)
+    e[live] = [math.exp(v) for v in z[live].tolist()]
+    near = x < 8.0
+    y = e * np.where(near, _polevl(x, _ERFC_P), _polevl(x, _ERFC_R))
+    y /= np.where(near, _p1evl(x, _ERFC_Q), _p1evl(x, _ERFC_S))
+    y[under] = 0.0
+    y = 1.0 - y
+    return np.where(np.isnan(t), np.nan, np.where(t < 0.0, -y, y))
+
+
+def erf(t) -> np.ndarray:
+    """The error function of float64 ``t``, any shape, bit for bit as
+    Cephes' ``erf`` (``scipy.special.erf``) computes it.
+
+    On |t| <= 1 it is t * T(z) / U(z) with z = t * t. Elsewhere it is
+    1 - erfc(x), x = |t|, negated for t < 0, where erfc(x) is
+    exp(-x * x) * P(x) / Q(x) below 8, the same with R / S from 8 up,
+    and 0 where -x * x < -MAXLOG. The polynomials run in Cephes' Horner
+    order, one numpy multiply and one add per step, and every operation
+    keeps Cephes' order. These are IEEE basic operations, which give
+    the same bits on every SIMD path. NaN gives NaN, +-inf gives +-1 and
+    -0.0 gives -0.0. The one assumption is that ``math.exp``, applied
+    per element, is the C library's exp, the function Cephes calls;
+    numpy's own ``np.exp`` differs in the last bit on about 1 input in
+    200 there. No GELU input at the model's scales reaches that branch.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    x = t.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = x * x
+        y = _polevl(z, _ERF_T)
+        y *= x
+        y /= _p1evl(z, _ERF_U)
+        # fl(t * t) <= 1 exactly where |t| <= 1; NaN fails both tests.
+        if not z.max(initial=0.0) <= 1.0:
+            far = np.flatnonzero(~(z <= 1.0))
+            y[far] = _erf_far(x[far])
+    return y.reshape(t.shape)
 
 
 def cosine_matrix(a, b) -> np.ndarray:

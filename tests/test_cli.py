@@ -1,7 +1,10 @@
 import csv
 import io
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,18 @@ clip.height = 32
 clip.width = 32
 model.width = 32
 model.layers = 4
+"""
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Imports the CLI, makes one desk run (64 tokens, width 64, 8 layers)
+# and prints the scipy modules then loaded.
+SCIPY_PROBE = """\
+import sys
+from vidtldr.harness import cli, config, runner
+res = runner.run(config.parse_config_text(sys.argv[1]))
+assert res.final_state.count == 16
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
@@ -206,3 +221,16 @@ def test_console_script_usage():
     proc = subprocess.run(["vidtldr"], capture_output=True, text=True)
     assert proc.returncode == 2
     assert "usage:" in proc.stderr
+
+
+def test_cli_and_desk_run_import_no_scipy(tmp_path):
+    text = (
+        "run.seed = 11\nrun.mode = vidtldr\nrun.schedule = 8,8,8,8,8,8\n"
+        f"out.dir = {tmp_path / 'out'}\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, text], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

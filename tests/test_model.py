@@ -183,12 +183,19 @@ def test_gelu_reference_values():
     assert out[0, 2] == pytest.approx(-0.1586553, abs=1e-6)
 
 
-# Zeros of both signs, subnormals, the float32 edges, and erf's saturation.
-EXTREMES = np.array(
+# erf's branch points |t| = 1, 8 and sqrt(MAXLOG), as gelu inputs x = t * sqrt(2),
+# with the float32 values one ulp either side.
+ERF_EDGES = np.float32([math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.782712893384)])
+NEAR_EDGES = np.concatenate([
+    np.nextafter(ERF_EDGES, np.float32(0.0)), ERF_EDGES, np.nextafter(ERF_EDGES, np.float32(np.inf)),
+])
+
+# Zeros of both signs, subnormals, the float32 edges, erf's saturation and branch points.
+EXTREMES = np.concatenate([np.array(
     [0.0, -0.0, 1e-45, -1e-45, 1e-38, -1e-38, 1e-8, -1e-8, 5.0, -5.0, 8.3, -8.3,
      40.0, -40.0, 3.4e38, -3.4e38, np.inf, -np.inf],
     dtype=np.float32,
-)
+), NEAR_EDGES, -NEAR_EDGES])
 
 
 def old_gelu(x):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import erf as scipy_erf
 
 from vidtldr import numerics
 
@@ -487,3 +488,42 @@ def test_as_matrix_coercion():
     assert m.flags.c_contiguous
     with pytest.raises(ValueError):
         numerics.as_matrix(np.zeros((2, 2, 2)))
+
+
+# erf's branch points: |t| = 1 (series to erfc), 8 (P/Q to R/S) and
+# sqrt(MAXLOG) (erfc underflows to 0).
+ERF_EDGES = (1.0, 8.0, math.sqrt(7.09782712893383996843e2))
+
+
+def _erf_oracle_inputs():
+    # A strided sweep over every float32 exponent and sign, as gelu sees it.
+    bits = np.arange(0, 2**32, 4093, dtype=np.uint64).astype(np.uint32)
+    with np.errstate(invalid="ignore"):  # signalling NaNs
+        sweep = bits.view(np.float32).astype(np.float64) / math.sqrt(2.0)
+    yield "float32 sweep", sweep
+    # 2,000 ulps either side of each branch point, both signs.
+    ulps = np.arange(-2000, 2001)
+    for edge in ERF_EDGES:
+        grid = (np.float64(edge).view(np.int64) + ulps).view(np.float64)
+        yield f"ulps around {edge}", np.concatenate([grid, -grid])
+    # Where numpy's np.exp and the C library's exp part ways.
+    draws = numerics.make_rng(15).uniform(1.0, 8.0, 100_000)
+    yield "1 < |t| < 8", np.concatenate([draws, -draws])
+    subnormal = np.float64(5e-324)
+    yield "specials", np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, subnormal,
+                                -subnormal, 2.2e-308, -2.2e-308, 1e300, -1e300])
+
+
+def test_erf_bits_equal_scipy():
+    for name, t in _erf_oracle_inputs():
+        got = numerics.erf(t)
+        assert got.dtype == np.float64 and got.shape == t.shape
+        bad = np.flatnonzero(got.view(np.int64) != scipy_erf(t).view(np.int64))
+        assert bad.size == 0, f"{name}: {bad.size} mismatches, first at t = {t[bad[0]]!r}"
+
+
+def test_erf_keeps_the_input_shape():
+    t = numerics.make_rng(3).normal(0.0, 2.0, size=(3, 4, 5))
+    assert numerics.erf(t).tobytes() == scipy_erf(t).tobytes()
+    assert numerics.erf(np.float64(0.5)).shape == ()
+    assert numerics.erf(np.empty((0, 3))).shape == (0, 3)
