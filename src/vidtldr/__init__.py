@@ -1,7 +1,7 @@
 """Training-free saliency-aware token merging for video transformers.
 
 Library layout:
-    numerics   deterministic float32 kernel (matmul, softmax, entropy, cosine)
+    numerics   deterministic float32 kernel (matmul, softmax, entropy, cosine, erf)
     model      toy spatio-temporal transformer with pluggable token reduction
     merging    bipartite soft matching, mass-weighted merging, pruning
     saliency   attentiveness, attention rollout, sharpness saliency, frame ratios

@@ -18,8 +18,9 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .. import saliency
 from ..costmodel import CostConfig, plan_schedule
-from ..model import ClipSpec, ModelConfig
+from ..model import ClipSpec, ModelConfig, PruneReducer, TomeReducer, VidTldrReducer
 
 
 class ConfigError(ValueError):
@@ -30,18 +31,6 @@ class InvariantError(ValueError):
     """Structurally valid config that violates a cross-field rule."""
 
 
-MODES = (
-    "baseline",
-    "tome",
-    "vidtldr",
-    "prune-attentiveness",
-    "prune-rollout",
-    "prune-sharpness",
-)
-# Modes that reduce by bipartite soft matching: they run proportional
-# attention and merge at most floor(n/2) tokens per layer. Exactly their
-# reducers in runner.build_reducer set ``merging`` (a test checks this).
-MERGE_MODES = ("tome", "vidtldr")
 PATTERNS = ("noise", "moving-blob", "front-loaded")
 
 DEFAULT_TEMPORAL_BIAS = 1.8
@@ -94,10 +83,10 @@ def _parse_str(key: str, value: str) -> str:
     return value
 
 
-def _choices(options: tuple[str, ...]):
+def _choices(options):
     def parse(key: str, value: str) -> str:
-        if value not in options:
-            raise ConfigError(f"{key}: expected one of {', '.join(options)}, got {value!r}")
+        if value not in options():
+            raise ConfigError(f"{key}: expected one of {', '.join(options())}, got {value!r}")
         return value
 
     return parse
@@ -127,17 +116,38 @@ class RunConfig:
     tube: int = _key("clip.tube", _parse_int, "2")
     patch: int = _key("clip.patch", _parse_int, "16")
     channels: int = _key("clip.channels", _parse_int, "3")
-    pattern: str = _key("clip.pattern", _choices(PATTERNS), "noise")
+    pattern: str = _key("clip.pattern", _choices(lambda: PATTERNS), "noise")
     model_width: int = _key("model.width", _parse_int, "64")
     heads: int = _key("model.heads", _parse_int, "4")
     layers: int = _key("model.layers", _parse_int, "8")
     temporal_bias: float = _key("model.temporal_bias", _parse_float, str(DEFAULT_TEMPORAL_BIAS))
-    mode: str = _key("run.mode", _choices(MODES), "baseline")
+    mode: str = _key("run.mode", _choices(lambda: MODES), "baseline")
     schedule: tuple[int, ...] = _key("run.schedule", _parse_schedule, "")
     seed: int = _key("run.seed", _parse_seed, None)
     out_dir: str = _key("out.dir", _parse_str, "out")
     dump_attention: bool = _key("dump.attention", _parse_bool, "false")
     dump_tokens: bool = _key("dump.tokens", _parse_bool, "false")
+
+    @staticmethod
+    def reducers(rollout) -> dict:
+        """The one table of run modes: each run.mode's reducer, given the
+        clean forward's rollout table. baseline has none: its result is
+        the clean forward. A reducer's ``merging`` sets the merge limit
+        and its ``reads_rollout`` makes its forward wait for the rollout."""
+        return {
+            "baseline": None,
+            "tome": TomeReducer(),
+            "vidtldr": VidTldrReducer(),
+            "prune-attentiveness": PruneReducer(
+                lambda state, maps, layer: saliency.attentiveness(maps.head_mean_probs)
+            ),
+            "prune-rollout": PruneReducer(
+                lambda state, maps, layer: state.tube_mean(rollout[layer]), reads_rollout=True
+            ),
+            "prune-sharpness": PruneReducer(
+                lambda state, maps, layer: saliency.sharpness_saliency(maps.head_mean_probs)
+            ),
+        }
 
     def clip_spec(self) -> ClipSpec:
         return ClipSpec(
@@ -172,6 +182,7 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
 
 
+MODES = tuple(RunConfig.reducers(None))
 _FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
 # The fields that fix a run's clip (every clip.* key and the seed):
 # runs compared side by side must agree on all of them.
@@ -215,12 +226,13 @@ def _validate(cfg: RunConfig) -> None:
         cfg.model_config()
     except ValueError as e:
         raise InvariantError(str(e)) from None
+    reducer = cfg.reducers(None)[cfg.mode]
     try:
-        plan_schedule(spec.n_tokens, cfg.layers, cfg.schedule, cfg.mode in MERGE_MODES)
+        plan_schedule(spec.n_tokens, cfg.layers, cfg.schedule, getattr(reducer, "merging", False))
     except ValueError as e:
         raise InvariantError(f"run.schedule: {e}") from None
-    if cfg.mode == "baseline" and any(r != 0 for r in cfg.schedule):
-        raise InvariantError("baseline mode requires a zero schedule")
+    if reducer is None and any(r != 0 for r in cfg.schedule):
+        raise InvariantError(f"{cfg.mode} mode requires a zero schedule")
 
 
 def load_config(path) -> RunConfig:

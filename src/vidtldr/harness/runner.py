@@ -13,15 +13,17 @@ its artifacts under <out.dir>/<run_id>/:
     pooled.vtdr      mass-weighted mean of the final token features
     attention_l*.vtdr, tokens.vtdr, masses.vtdr   (optional dumps)
 
-The two forwards share only the clip and the weights, both read-only,
-except in prune-rollout, whose reducer reads the clean forward's
-rollout table (baseline's result is the clean forward itself).
+The mode's reducer comes from RunConfig.reducers; with none (baseline)
+the clean forward is the run's result. The forwards share only the
+clip and the weights, both read-only, unless the reducer declares
+``reads_rollout`` (prune-rollout) and reads the clean rollout table.
 
 A run whose analytical MACs reach CONCURRENT_MIN_MACS, on a process
-that may use at least two CPUs, uses three threads. A pool thread
-draws the weights into a model.WeightStream while the calling thread
-builds the clip, and each forward waits only for the layer it is about
-to run. In every mode but baseline and prune-rollout, the pool's other
+that may use at least two CPUs, uses three threads; _inputs alone
+makes that choice. A pool thread draws the weights into a
+model.WeightStream while the calling thread builds the clip, and each
+forward waits only for the layer it is about to run. Unless the mode
+has no reducer or its reducer reads the rollout, the pool's other
 thread then runs the reduced forward while the calling thread runs the
 clean forward and the rollout. clean_forward streams its weights the
 same way. Below that size the threads would mostly wait for the
@@ -43,8 +45,8 @@ wrote, so <run_id>/ is either complete or as an earlier run left it.
 
 A RunResult holds both forwards' traces with their head-mean maps,
 token counts and states, but no per-head (heads, n, n) probs: only the
-forward that dump.attention writes keeps them (the clean forward in
-baseline, else the mode's forward), and only until they are written.
+forward that dump.attention writes, the run's result, keeps them, and
+only until they are written.
 """
 
 from __future__ import annotations
@@ -66,9 +68,6 @@ from ..model import (
     ForwardResult,
     ModelWeights,
     NullReducer,
-    PruneReducer,
-    TomeReducer,
-    VidTldrReducer,
     WeightStream,
     forward_clip,
     init_weights,
@@ -101,30 +100,6 @@ def pooled_features(state: TokenState) -> np.ndarray:
     w = state.masses
     num = (w[:, None] * state.features.astype(np.float64)).sum(axis=0)
     return (num / w.sum()).astype(np.float32)[None, :]
-
-
-def build_reducer(mode: str, rollout: np.ndarray):
-    """The mode's reducer; ``rollout`` is the clean forward's rollout table,
-    read by prune-rollout alone."""
-    if mode == "baseline":
-        return NullReducer()
-    if mode == "tome":
-        return TomeReducer()
-    if mode == "vidtldr":
-        return VidTldrReducer()
-    if mode == "prune-attentiveness":
-        return PruneReducer(
-            lambda state, maps, layer: saliency.attentiveness(maps.head_mean_probs)
-        )
-    if mode == "prune-sharpness":
-        return PruneReducer(
-            lambda state, maps, layer: saliency.sharpness_saliency(maps.head_mean_probs)
-        )
-    if mode == "prune-rollout":
-        return PruneReducer(
-            lambda state, maps, layer: state.tube_mean(rollout[layer])
-        )
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -171,24 +146,25 @@ def write_frame_ratios(path: Path, ratios: np.ndarray) -> None:
 
 
 def clip_and_weights(cfg: RunConfig) -> tuple[SynthClip, ModelWeights]:
-    """Build a run's clip and weights on this thread, both read-only."""
-    with _inputs(cfg, stream=False) as (synth, weights, _):
+    """Build a run's clip and weights, both read-only (at 0 MACs: on this thread)."""
+    with _inputs(cfg, 0) as (synth, weights, _):
         return synth, weights
 
 
 @contextmanager
-def _inputs(cfg: RunConfig, stream: bool):
+def _inputs(cfg: RunConfig, macs: int):
     """Yield a run's clip, its weights and a two-thread pool, or None.
 
     run.seed derives two child seeds, one for the clip voxels and one
-    for the model weights. With ``stream``, a pool thread draws the
-    weights into a WeightStream while this thread builds the clip, and
-    the pool's other thread is free for the reduced forward. Leaving
-    the block, also by an exception, joins both threads.
+    for the model weights. From CONCURRENT_MIN_MACS analytical ``macs``,
+    on two usable CPUs, a pool thread draws the weights into a
+    WeightStream while this thread builds the clip, and the pool's other
+    thread is free for the reduced forward; below, there is no pool.
+    Leaving the block, also by an exception, joins both threads.
     """
     spec = cfg.clip_spec()
     clip_seed, weight_seed = numerics.spawn_seeds(cfg.seed, 2)
-    if not stream:
+    if macs < CONCURRENT_MIN_MACS or _usable_cpus() < 2:
         synth = synth_clip(spec, clip_seed, cfg.pattern)
         yield synth, init_weights(cfg.model_config(), spec, weight_seed), None
         return
@@ -199,15 +175,10 @@ def _inputs(cfg: RunConfig, stream: bool):
     drawing.result()
 
 
-def _two_threads(macs: int) -> bool:
-    """Whether a forward of ``macs`` analytical MACs gains from a second thread."""
-    return macs >= CONCURRENT_MIN_MACS and _usable_cpus() >= 2
-
-
 def clean_forward(cfg: RunConfig) -> ForwardResult:
     """A run's no-reduction forward."""
     macs = costmodel.schedule_flops(cfg.cost_config(), []).total_flops
-    with _inputs(cfg, stream=_two_threads(macs)) as (synth, weights, _):
+    with _inputs(cfg, macs) as (synth, weights, _):
         return _clean_forward(cfg, synth, weights)
 
 
@@ -229,25 +200,26 @@ def _usable_cpus() -> int:
 def run(cfg: RunConfig) -> RunResult:
     """Execute one configured run and write its artifacts."""
     cost = costmodel.schedule_flops(cfg.cost_config(), cfg.schedule)
-    # Only the forward whose attention is dumped keeps its per-head probs.
-    dump_clean = cfg.dump_attention and cfg.mode == "baseline"
-    with _inputs(cfg, stream=_two_threads(cost.total_flops)) as (synth, weights, pool):
+    reducer = cfg.reducers(None)[cfg.mode]
+    # Only the forward whose attention is dumped (the result) keeps its probs.
+    dump_clean = cfg.dump_attention and reducer is None
+    with _inputs(cfg, cost.total_flops) as (synth, weights, pool):
 
         def clean_and_rollout():
             clean = _clean_forward(cfg, synth, weights, keep_probs=dump_clean)
             return clean, saliency.attention_rollout(clean.head_mean_maps())
 
-        def reduced(rollout):
+        def reduced(by):
             return forward_clip(
                 synth.clip, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
-                build_reducer(cfg.mode, rollout), keep_probs=cfg.dump_attention,
+                by, keep_probs=cfg.dump_attention,
             )
 
-        if pool is None or cfg.mode in ("baseline", "prune-rollout"):
+        if pool is None or reducer is None or getattr(reducer, "reads_rollout", False):
             clean, rollout = clean_and_rollout()
-            result = clean if cfg.mode == "baseline" else reduced(rollout)
+            result = clean if reducer is None else reduced(cfg.reducers(rollout)[cfg.mode])
         else:
-            pending = pool.submit(reduced, None)
+            pending = pool.submit(reduced, reducer)
             clean, rollout = clean_and_rollout()
             result = pending.result()
 
@@ -274,7 +246,7 @@ def run(cfg: RunConfig) -> RunResult:
 
     if cfg.dump_attention:
         result = result.without_probs()
-        if cfg.mode == "baseline":
+        if reducer is None:
             clean = result
     return RunResult(
         run_id=cfg.run_id, config=cfg, out_dir=out_dir,

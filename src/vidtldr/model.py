@@ -351,6 +351,11 @@ def mlp_forward(features: np.ndarray, lw: LayerWeights) -> np.ndarray:
 
 
 class Reducer(Protocol):
+    """Removes r tokens between a layer's attention and its MLP. It may
+    declare ``merging`` (bipartite: the floor(n/2) plan and proportional
+    attention) and ``reads_rollout`` (it reads the clean forward's
+    rollout table); both default to false."""
+
     def reduce(
         self, state: merging.TokenState, maps: AttentionMaps, r: int, layer: int
     ) -> merging.TokenState: ...
@@ -390,8 +395,9 @@ class VidTldrReducer:
 class PruneReducer:
     """Drops the lowest-scoring tokens; the score function is injected."""
 
-    def __init__(self, score_fn):
+    def __init__(self, score_fn, reads_rollout: bool = False):
         self._score_fn = score_fn
+        self.reads_rollout = reads_rollout
 
     def reduce(self, state, maps, r, layer):
         scores = self._score_fn(state, maps, layer)

@@ -200,24 +200,27 @@ def row_softmax(m) -> np.ndarray:
     return e.astype(np.float32)
 
 
+def require_stochastic_rows(m: np.ndarray, name: str) -> None:
+    """Raise ValueError for ``name`` unless the 2-D ``m`` has entries >= 0
+    and float64 row sums within STOCHASTIC_ATOL of 1."""
+    m64 = np.asarray(m, dtype=np.float64)
+    sums = m64.sum(axis=1)
+    if (m64 < 0.0).any() or not np.allclose(sums, 1.0, rtol=0.0, atol=STOCHASTIC_ATOL):
+        worst = float(np.abs(sums - 1.0).max())
+        raise ValueError(f"{name} requires row-stochastic input (max |sum-1| = {worst:g})")
+
+
 def row_neg_entropy(p) -> np.ndarray:
     """Per-row negative entropy sum_j p_ij * log(p_ij).
 
-    Rows must be stochastic (entries >= 0, sum within 1e-5 of 1).
+    Rows must pass require_stochastic_rows.
     Entries below 1e-12 contribute exactly zero. Results are clamped
     to [-log N, 0]; a one-hot row gives exactly 0 and a uniform row
     gives exactly -log N when N is a power of two.
     """
     pm = as_matrix(p)
     p64 = pm.astype(np.float64)
-    if (p64 < 0.0).any():
-        raise ValueError("row_neg_entropy requires non-negative entries")
-    sums = p64.sum(axis=1)
-    if not np.allclose(sums, 1.0, rtol=0.0, atol=STOCHASTIC_ATOL):
-        worst = float(np.abs(sums - 1.0).max())
-        raise ValueError(
-            f"row_neg_entropy requires stochastic rows (max |sum-1| = {worst:g})"
-        )
+    require_stochastic_rows(p64, "row_neg_entropy")
     n = pm.shape[1]
     terms = np.where(
         p64 > ENTROPY_EPS,

@@ -32,9 +32,7 @@ def _require_square_stochastic(probs: np.ndarray, name: str) -> np.ndarray:
     m = numerics.as_matrix(probs)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} requires a square map, got {m.shape}")
-    sums = m.astype(np.float64).sum(axis=1)
-    if (m < 0).any() or not np.allclose(sums, 1.0, rtol=0.0, atol=numerics.STOCHASTIC_ATOL):
-        raise ValueError(f"{name} requires row-stochastic input")
+    numerics.require_stochastic_rows(m, name)
     return m
 
 

@@ -1,0 +1,153 @@
+"""Byte sweep: digests of every run output at the desk and big shapes.
+
+The golden table (``test_golden.py``) runs 18- and 64-token clips only.
+This sweep adds the 392-token shape, where the matmul fallbacks,
+``cosine_argmax``'s exact path and the merge's larger groups live:
+
+    big   16x112x112 clip (392 tokens), width 128, schedule 48 x 6:
+          six modes on moving-blob and front-loaded
+    desk  the default 64-token, width-64 shape, schedule 8 x 6:
+          six modes on noise, moving-blob and front-loaded
+
+each at run.seed 1 and 20240318 with both dumps on. It hashes every
+artifact of each run (metrics.csv without its wall_ms column), the
+final features, masses and owner map of both forwards in the returned
+RunResult, and those of ``runner.clean_forward``. It runs every config
+twice, with the thread gate forced open (CONCURRENT_MIN_MACS = 0 on two
+usable CPUs, so every call streams its weights) and forced closed (no
+call starts a thread), and checks that each path took the threads the
+gate asks for and produced the table in golden_sweep.json.
+
+Not collected by pytest: both gates over both seeds take about a
+minute. ``test_golden.py`` runs one seed of the big set. Run it from
+the repo root with
+
+    PYTHONPATH=src python tests/golden_sweep.py            # check; exit 1 on a moved digest
+    PYTHONPATH=src python tests/golden_sweep.py --record   # rewrite golden_sweep.json
+
+Re-record the table only for an intended output change, and list every
+moved entry with it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+
+from vidtldr.harness import runner
+from vidtldr.harness.config import MODES, parse_config_text
+
+from test_golden import _digest
+
+TABLE = Path(__file__).with_name("golden_sweep.json")
+SEEDS = (1, 20240318)
+BIG = "clip.frames = 16\nclip.height = 112\nclip.width = 112\nmodel.width = 128\n"
+SHAPES = {
+    # name: (shape lines, schedule, patterns)
+    "big": (BIG, "48,48,48,48,48,48", ("moving-blob", "front-loaded")),
+    "desk": ("", "8,8,8,8,8,8", ("noise", "moving-blob", "front-loaded")),
+}
+
+
+def configs(seeds=SEEDS, shapes=tuple(SHAPES)):
+    """(name, config text) of every swept run, out.dir relative."""
+    for shape in shapes:
+        lines, schedule, patterns = SHAPES[shape]
+        for seed in seeds:
+            for pattern in patterns:
+                for mode in MODES:
+                    yield f"{shape}/s{seed}/{pattern}/{mode}", (
+                        lines + f"run.seed = {seed}\nclip.pattern = {pattern}\n"
+                        f"run.mode = {mode}\n"
+                        f"run.schedule = {'' if mode == 'baseline' else schedule}\n"
+                        "dump.attention = true\ndump.tokens = true\nout.dir = out\n"
+                    )
+
+
+def _array_digest(a: np.ndarray) -> str:
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+
+
+def _state_digests(prefix: str, state) -> dict[str, str]:
+    return {
+        f"{prefix}/{name}": _array_digest(getattr(state, name))
+        for name in ("features", "masses", "owner")
+    }
+
+
+@contextmanager
+def gate(open_: bool):
+    """Force runner's thread gate; yield the list of executors it starts."""
+    saved = runner.CONCURRENT_MIN_MACS, runner._usable_cpus, runner.ThreadPoolExecutor
+    started = []
+
+    class Counted(saved[2]):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    runner.CONCURRENT_MIN_MACS = 0 if open_ else 2**62
+    runner._usable_cpus = lambda: 2
+    runner.ThreadPoolExecutor = Counted
+    try:
+        yield started
+    finally:
+        runner.CONCURRENT_MIN_MACS, runner._usable_cpus, runner.ThreadPoolExecutor = saved
+
+
+def sweep(open_: bool, seeds=SEEDS, shapes=tuple(SHAPES)) -> dict[str, str]:
+    """Digest every swept run under the forced gate, in the current directory."""
+    out = {}
+    calls = 0
+    with gate(open_) as started:
+        for name, text in configs(seeds, shapes):
+            cfg = parse_config_text(text)
+            res = runner.run(cfg)
+            for path in sorted(res.out_dir.iterdir()):
+                out[f"{name}/{path.name}"] = _digest(path)
+            out.update(_state_digests(f"{name}/run.clean", res.clean.final_state))
+            out.update(_state_digests(f"{name}/run.result", res.final_state))
+            out.update(_state_digests(f"{name}/clean_forward", runner.clean_forward(cfg).final_state))
+            calls += 2
+    if len(started) != (calls if open_ else 0):
+        raise AssertionError(f"gate {'open' if open_ else 'closed'}: "
+                             f"{len(started)} executors for {calls} calls")
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--record", action="store_true", help="rewrite the digest table")
+    args = ap.parse_args()
+    expected = None if args.record else json.loads(TABLE.read_text())
+    bad = 0
+    with tempfile.TemporaryDirectory() as d:
+        os.chdir(d)
+        for open_ in (False, True):
+            t0 = time.perf_counter()
+            got = sweep(open_)
+            label = "gate open" if open_ else "gate closed"
+            if expected is None:
+                expected = got
+                TABLE.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
+            moved = sorted(k for k in got.keys() | expected.keys() if got.get(k) != expected.get(k))
+            bad += len(moved)
+            print(f"{label}: {len(got)} digests, {len(moved)} moved, "
+                  f"{time.perf_counter() - t0:.1f} s")
+            for k in moved[:20]:
+                print(f"  moved: {k}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

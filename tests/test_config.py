@@ -189,6 +189,13 @@ def test_readme_config_table_matches_schema():
     assert sorted(documented) == sorted(expected)
 
 
+def test_readme_modes_sentence_names_the_mode_table():
+    """README's "Modes:" sentence names exactly RunConfig.reducers' modes, each once."""
+    text = README.read_text(encoding="utf-8")
+    sentence = re.search(r"^Modes: (.*?)\.\s", text, re.M | re.S).group(1)
+    assert sorted(re.findall(r"`([^`]+)`", sentence)) == sorted(config.RunConfig.reducers(None))
+
+
 @st.composite
 def run_configs(draw):
     """Valid RunConfigs: small geometry, any mode, a schedule the plan accepts."""
@@ -208,7 +215,7 @@ def run_configs(draw):
     n = (spec["frames"] // tube) * (spec["height"] // patch) * (spec["width"] // patch)
     schedule = []
     for r in draw(st.lists(st.integers(0, 3), max_size=layers)):
-        r = 0 if mode == "baseline" else min(r, n // 2 if mode in config.MERGE_MODES else n - 1)
+        r = 0 if mode == "baseline" else min(r, n // 2 if mode in ("tome", "vidtldr") else n - 1)
         schedule.append(r)
         n -= r
     return config.RunConfig(

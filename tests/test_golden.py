@@ -20,6 +20,11 @@ not yet hold under another numpy SIMD dispatch, because float64 exp
 and log follow it; the AVX2 child test is an expected failure until
 they do not.
 
+The golden shapes have at most 64 tokens. ``golden_sweep.py`` digests
+the 392-token shape as well, over two seeds and with the thread gate
+forced each way; one test here runs its first seed's big set on the
+concurrent path against its table, golden_sweep.json.
+
 Regenerate the table (only for an intended output change) with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
@@ -142,6 +147,16 @@ def test_digests_hold_on_the_concurrent_path(tmp_path, monkeypatch):
     assert submitted.count("draw") == len(runs)
     assert submitted.count("reduced") == len(overlapping)
     assert len(submitted) == 36
+
+
+def test_big_sweep_holds_on_the_concurrent_path(tmp_path, monkeypatch):
+    import golden_sweep  # imports this module's _digest, so not at the top
+
+    monkeypatch.chdir(tmp_path)
+    expected = json.loads(golden_sweep.TABLE.read_text())
+    got = golden_sweep.sweep(True, seeds=golden_sweep.SEEDS[:1], shapes=("big",))
+    assert len(got) == 2 * len(MODES) * 24  # 15 artifacts and 9 state arrays per run
+    assert got == {k: expected.get(k) for k in got}
 
 
 def _python(env, cwd, *args) -> str:

@@ -13,7 +13,7 @@ from numpy.testing import assert_array_equal
 
 from vidtldr import costmodel, merging, model, saliency
 from vidtldr.harness import runner, tensorio
-from vidtldr.harness.config import MERGE_MODES, MODES, InvariantError, parse_config_text
+from vidtldr.harness.config import MODES, InvariantError, parse_config_text
 
 # 8 tokens, 4 layers: small enough that a run is a few milliseconds
 BASE = """\
@@ -127,7 +127,7 @@ def test_accepted_configs_run_to_plan(tmp_path_factory, mode, schedule):
         f"out.dir = {tmp_path_factory.getbasetemp() / 'plan'}\n"
     )
     try:
-        plan = costmodel.plan_schedule(16, 4, schedule, merging=mode in MERGE_MODES)
+        plan = costmodel.plan_schedule(16, 4, schedule, merging=mode in ("tome", "vidtldr"))
     except ValueError:
         plan = None
     if plan is None or (mode == "baseline" and any(schedule)):
@@ -205,16 +205,28 @@ def test_compare_rejects_mismatched_clips(tmp_path):
         runner.compare([str(a.out_dir)])
 
 
-def test_build_reducer_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        runner.build_reducer("fancy", [])
-
-
 @pytest.mark.parametrize("mode", MODES)
-def test_merge_modes_are_the_merging_reducers(mode):
-    # config plans schedules from MERGE_MODES; forward_clip from the reducer.
-    reducer = runner.build_reducer(mode, np.zeros((4, 8, 8)))
-    assert getattr(reducer, "merging", False) == (mode in MERGE_MODES)
+def test_config_and_forward_clip_share_the_merge_limit(tmp_path, mode):
+    """floor(16/2) + 1 = 9 merges at layer 0 of a 16-token clip: config
+    rejects the schedule exactly when forward_clip, given the mode's
+    reducer, finds it infeasible, and that is in the merging modes."""
+    text = TINY + f"run.mode = {mode}\nout.dir = {tmp_path / 'out'}\n"
+    try:
+        parse_config_text(text + "run.schedule = 9\n")
+        config_rejects = False
+    except InvariantError as e:
+        config_rejects = str(e).startswith("run.schedule:")  # not baseline's zero-schedule rule
+    cfg = parse_config_text(text)
+    synth, weights = runner.clip_and_weights(cfg)
+    reducer = cfg.reducers(np.zeros((4, 16)))[mode] or model.NullReducer()
+    try:
+        model.forward_clip(synth.clip, cfg.clip_spec(), cfg.model_config(), weights, [9], reducer)
+        infeasible = False
+    except costmodel.InfeasibleScheduleError:
+        infeasible = True
+    except RuntimeError:  # NullReducer refuses to reduce once the plan is accepted
+        infeasible = False
+    assert config_rejects == infeasible == (mode in ("tome", "vidtldr"))
 
 
 def test_compute_frame_ratios_shape(tmp_path):
@@ -485,7 +497,7 @@ def test_results_hold_no_per_head_tensors(tmp_path, monkeypatch, mode, dump, gat
     rollout = saliency.attention_rollout(runner.clean_forward(cfg).head_mean_maps())
     direct = model.forward_clip(
         synth.clip, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
-        runner.build_reducer(mode, rollout), keep_probs=True,
+        cfg.reducers(rollout)[mode] or model.NullReducer(), keep_probs=True,
     )
     assert [p.name for p in dumps] == [f"attention_l{l:02d}.vtdr" for l in range(4)]
     for path, tr in zip(dumps, direct.traces):
