@@ -39,14 +39,16 @@ its weights are drawn; on a large run it shares the CPU with the other
 threads.
 
 The artifacts are first written into a new hidden directory under
-out.dir, which is then renamed to <run_id>/, replacing the directory of
-an earlier run of the same config. A run that raises removes what it
-wrote, so <run_id>/ is either complete or as an earlier run left it.
+out.dir, made before the forwards, which is then renamed to <run_id>/,
+replacing the directory of an earlier run of the same config. A run
+that raises removes what it wrote, once every thread that could still
+write there is joined, so <run_id>/ is either complete or as an earlier
+run left it.
 
 A RunResult holds both forwards' traces with their head-mean maps,
-token counts and states, but no per-head (heads, n, n) probs: only the
-forward that dump.attention writes, the run's result, keeps them, and
-only until they are written.
+token counts and states, but no per-head (heads, n, n) probs: with
+dump.attention, the run's result forward writes each layer's probs into
+the hidden directory as that layer finishes, and nothing keeps them.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ from .. import costmodel, numerics, saliency
 from ..merging import TokenState
 from ..model import (
     ForwardResult,
-    ModelWeights,
     NullReducer,
     WeightStream,
     forward_clip,
@@ -125,7 +126,7 @@ def compute_frame_ratios(clean: ForwardResult, rollout: np.ndarray) -> np.ndarra
     through the last), and masked sharpness saliency, all measured on
     the no-reduction forward.
     """
-    first = clean.traces[0].maps.head_mean_probs
+    first = clean.traces[0].head_mean_probs
     frame_of = clean.spec.tube_frame_groups()
     g = clean.spec.n_groups
     cols = [
@@ -143,12 +144,6 @@ def write_frame_ratios(path: Path, ratios: np.ndarray) -> None:
         w.writerow(RATIO_HEADER)
         for g, row in enumerate(ratios):
             w.writerow([g] + [_fmt(x) for x in row])
-
-
-def clip_and_weights(cfg: RunConfig) -> tuple[SynthClip, ModelWeights]:
-    """Build a run's clip and weights, both read-only (at 0 MACs: on this thread)."""
-    with _inputs(cfg, 0) as (synth, weights, _):
-        return synth, weights
 
 
 @contextmanager
@@ -182,12 +177,10 @@ def clean_forward(cfg: RunConfig) -> ForwardResult:
         return _clean_forward(cfg, synth, weights)
 
 
-def _clean_forward(
-    cfg: RunConfig, synth: SynthClip, weights, keep_probs: bool = False
-) -> ForwardResult:
+def _clean_forward(cfg: RunConfig, synth: SynthClip, weights, dump=None) -> ForwardResult:
     return forward_clip(
         synth.clip, cfg.clip_spec(), cfg.model_config(), weights, [], NullReducer(),
-        keep_probs=keep_probs,
+        dump=dump,
     )
 
 
@@ -201,53 +194,54 @@ def run(cfg: RunConfig) -> RunResult:
     """Execute one configured run and write its artifacts."""
     cost = costmodel.schedule_flops(cfg.cost_config(), cfg.schedule)
     reducer = cfg.reducers(None)[cfg.mode]
-    # Only the forward whose attention is dumped (the result) keeps its probs.
-    dump_clean = cfg.dump_attention and reducer is None
-    with _inputs(cfg, cost.total_flops) as (synth, weights, pool):
-
-        def clean_and_rollout():
-            clean = _clean_forward(cfg, synth, weights, keep_probs=dump_clean)
-            return clean, saliency.attention_rollout(clean.head_mean_maps())
-
-        def reduced(by):
-            return forward_clip(
-                synth.clip, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
-                by, keep_probs=cfg.dump_attention,
-            )
-
-        if pool is None or reducer is None or getattr(reducer, "reads_rollout", False):
-            clean, rollout = clean_and_rollout()
-            result = clean if reducer is None else reduced(cfg.reducers(rollout)[cfg.mode])
-        else:
-            pending = pool.submit(reduced, reducer)
-            clean, rollout = clean_and_rollout()
-            result = pending.result()
-
-    observed = tuple(tr.tokens_out for tr in result.traces)
-    if observed != cost.token_trajectory:
-        raise RuntimeError(
-            f"forward token trajectory {observed} diverged from cost model "
-            f"{cost.token_trajectory}"
-        )
-
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     out_dir = out_root / cfg.run_id
     staging = Path(tempfile.mkdtemp(prefix=f".{cfg.run_id}-", dir=out_root))
+    run_dir = staging / cfg.run_id
     try:
-        _write_artifacts(staging / cfg.run_id, cfg, cost, clean, rollout, result)
+        run_dir.mkdir()
+
+        def dump(layer, probs):
+            dump_tensor(run_dir / f"attention_l{layer:02d}.vtdr", probs)
+
+        # Only the run's result is dumped: the reduced forward, or baseline's clean one.
+        sink = dump if cfg.dump_attention else None
+        with _inputs(cfg, cost.total_flops) as (synth, weights, pool):
+
+            def clean_and_rollout():
+                clean = _clean_forward(cfg, synth, weights, sink if reducer is None else None)
+                return clean, saliency.attention_rollout(clean.head_mean_maps())
+
+            def reduced(by):
+                return forward_clip(
+                    synth.clip, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
+                    by, dump=sink,
+                )
+
+            if pool is None or reducer is None or getattr(reducer, "reads_rollout", False):
+                clean, rollout = clean_and_rollout()
+                result = clean if reducer is None else reduced(cfg.reducers(rollout)[cfg.mode])
+            else:
+                pending = pool.submit(reduced, reducer)
+                clean, rollout = clean_and_rollout()
+                result = pending.result()
+
+        observed = tuple(tr.tokens_out for tr in result.traces)
+        if observed != cost.token_trajectory:
+            raise RuntimeError(
+                f"forward token trajectory {observed} diverged from cost model "
+                f"{cost.token_trajectory}"
+            )
+        _write_artifacts(run_dir, cfg, cost, clean, rollout, result)
         try:  # move an earlier run's directory aside; the rmtree below removes it
             out_dir.rename(staging / "replaced")
         except FileNotFoundError:
             pass
-        (staging / cfg.run_id).rename(out_dir)
-    finally:
+        run_dir.rename(out_dir)
+    finally:  # reached only once _inputs has joined every thread that could write here
         shutil.rmtree(staging, ignore_errors=True)
 
-    if cfg.dump_attention:
-        result = result.without_probs()
-        if reducer is None:
-            clean = result
     return RunResult(
         run_id=cfg.run_id, config=cfg, out_dir=out_dir,
         clip=synth, clean=clean, result=result, cost=cost,
@@ -258,9 +252,8 @@ def _write_artifacts(
     run_dir: Path, cfg: RunConfig, cost: costmodel.CostReport,
     clean: ForwardResult, rollout: np.ndarray, result: ForwardResult,
 ) -> None:
-    """Write a run's artifacts into a new directory ``run_dir``."""
+    """Write a run's artifacts, but for the attention dumps, into ``run_dir``."""
     spec = cfg.clip_spec()
-    run_dir.mkdir()
     (run_dir / "config.txt").write_text(cfg.canonical_text())
 
     with open(run_dir / "metrics.csv", "w", newline="") as f:
@@ -268,7 +261,7 @@ def _write_artifacts(
         w.writerow(METRICS_HEADER)
         for l, tr in enumerate(result.traces):
             mean_sal = float(
-                saliency.masked_saliency_from_map(tr.maps.head_mean_probs).mean()
+                saliency.masked_saliency_from_map(tr.head_mean_probs).mean()
             )
             w.writerow([
                 cfg.run_id, cfg.mode, l, tr.tokens_out,
@@ -289,9 +282,6 @@ def _write_artifacts(
             w.writerow([t, int(frame_of[t]), _fmt(tube_share[t])])
 
     dump_tensor(run_dir / "pooled.vtdr", pooled_features(final))
-    if cfg.dump_attention:
-        for l, tr in enumerate(result.traces):
-            dump_tensor(run_dir / f"attention_l{l:02d}.vtdr", tr.maps.probs)
     if cfg.dump_tokens:
         dump_tensor(run_dir / "tokens.vtdr", final.features)
         dump_tensor(run_dir / "masses.vtdr", final.masses.astype(np.float32))

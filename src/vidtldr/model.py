@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -274,13 +274,13 @@ def embed_clip(clip: np.ndarray, spec: ClipSpec, weights: ModelWeights) -> mergi
 class AttentionMaps:
     """One layer's attention tensors, plus the keys for matching.
 
-    attention_forward fills every field. A LayerTrace's copy holds no
-    keys, and probs only when forward_clip was asked to keep them.
+    attention_forward makes them and the layer's reducer reads them;
+    forward_clip keeps only the head mean, in the LayerTrace.
     """
 
-    probs: np.ndarray | None     # (heads, n, n) float32, row-stochastic
+    probs: np.ndarray            # (heads, n, n) float32, row-stochastic
     head_mean_probs: np.ndarray  # (n, n) float32, arithmetic mean over heads
-    keys: np.ndarray | None      # (n, width) float32, heads concatenated
+    keys: np.ndarray             # (n, width) float32, heads concatenated
 
 
 def mean_frame_groups(state: merging.TokenState, tube_groups: np.ndarray) -> np.ndarray:
@@ -407,12 +407,10 @@ class PruneReducer:
 @dataclass(frozen=True)
 class LayerTrace:
     """What one layer leaves behind once it is done: its head-mean map
-    (and its per-head probs, if asked for), its token counts, the state
-    after it and its wall time. The keys, read only by the layer's own
-    reducer, are dropped."""
+    (n x n for the n tokens it took in), its token count out, the state
+    after it and its wall time."""
 
-    maps: AttentionMaps
-    tokens_in: int
+    head_mean_probs: np.ndarray
     tokens_out: int
     state_after: merging.TokenState
     wall_ms: float
@@ -428,12 +426,7 @@ class ForwardResult:
         return self.traces[-1].state_after
 
     def head_mean_maps(self) -> list[np.ndarray]:
-        return [tr.maps.head_mean_probs for tr in self.traces]
-
-    def without_probs(self) -> ForwardResult:
-        """The same result with no trace holding per-head probs."""
-        traces = tuple(replace(tr, maps=replace(tr.maps, probs=None)) for tr in self.traces)
-        return replace(self, traces=traces)
+        return [tr.head_mean_probs for tr in self.traces]
 
 
 def forward_clip(
@@ -444,7 +437,7 @@ def forward_clip(
     schedule: list[int],
     reducer: Reducer,
     *,
-    keep_probs: bool = False,
+    dump=None,
 ) -> ForwardResult:
     """Run the encoder over a clip, reducing tokens per the schedule.
 
@@ -452,8 +445,9 @@ def forward_clip(
     its MLP. costmodel.plan_schedule checks the schedule up front, with
     the floor(n/2) merge limit for a reducer whose ``merging`` is true.
     Proportional attention applies exactly when the reducer merges.
-    Each layer's trace keeps its (heads, n, n) probs only with
-    ``keep_probs``, and never its keys.
+    The sink ``dump``, if given, is called as ``dump(layer, probs)``
+    with each layer's (heads, n, n) probs once its wall time is taken;
+    no trace keeps them.
     """
     merges = getattr(reducer, "merging", False)
     full = plan_schedule(spec.n_tokens, cfg.layers, schedule, merging=merges)
@@ -462,7 +456,6 @@ def forward_clip(
     traces = []
     for layer, (lw, r) in enumerate(zip(weights.layers, full)):
         t0 = time.perf_counter()
-        n_in = state.count
         state, maps = attention_forward(
             state, lw, cfg, tube_groups, spec.n_groups, merges
         )
@@ -472,11 +465,12 @@ def forward_clip(
         state = state.with_features(mlp_forward(state.features, lw))
         traces.append(
             LayerTrace(
-                maps=replace(maps, probs=maps.probs if keep_probs else None, keys=None),
-                tokens_in=n_in,
+                head_mean_probs=maps.head_mean_probs,
                 tokens_out=state.count,
                 state_after=state,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
+        if dump is not None:
+            dump(layer, maps.probs)
     return ForwardResult(spec=spec, traces=tuple(traces))

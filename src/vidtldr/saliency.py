@@ -28,10 +28,15 @@ from . import numerics
 DEGENERATE_SPREAD = 1e-9
 
 
-def _require_square_stochastic(probs: np.ndarray, name: str) -> np.ndarray:
+def _require_square(probs: np.ndarray, name: str) -> np.ndarray:
     m = numerics.as_matrix(probs)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} requires a square map, got {m.shape}")
+    return m
+
+
+def _require_square_stochastic(probs: np.ndarray, name: str) -> np.ndarray:
+    m = _require_square(probs, name)
     numerics.require_stochastic_rows(m, name)
     return m
 
@@ -72,8 +77,8 @@ def sharpness_saliency(probs) -> np.ndarray:
     equally sharp (spread below DEGENERATE_SPREAD) the score is 0.5
     everywhere.
     """
-    m = _require_square_stochastic(probs, "sharpness_saliency")
-    h = numerics.row_neg_entropy(m)
+    m = _require_square(probs, "sharpness_saliency")
+    h = numerics.row_neg_entropy(m)  # which checks that the rows are stochastic
     lo = float(h.min())
     hi = float(h.max())
     if hi - lo < DEGENERATE_SPREAD:

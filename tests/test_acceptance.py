@@ -347,7 +347,7 @@ def test_criterion_08_foreground_discrimination(capsys):
         synth = synth_clip(DESK, clip_seed, "moving-blob")
         weights = init_weights(cfg, DESK, weight_seed)
         res = forward_clip(synth.clip, DESK, cfg, weights, [], NullReducer())
-        shat = saliency.masked_saliency_from_map(res.traces[1].maps.head_mean_probs)
+        shat = saliency.masked_saliency_from_map(res.traces[1].head_mean_probs)
         fg = np.zeros(DESK.n_tokens, dtype=bool)
         fg[list(synth.foreground)] = True
         margins.append(float(shat[fg].mean() - shat[~fg].mean()))
@@ -371,7 +371,7 @@ def test_criterion_09_temporal_bias_mitigation(capsys):
         synth = synth_clip(DESK, clip_seed, "front-loaded")
         weights = init_weights(cfg, DESK, weight_seed)
         res = forward_clip(synth.clip, DESK, cfg, weights, [], NullReducer())
-        first = res.traces[0].maps.head_mean_probs
+        first = res.traces[0].head_mean_probs
         ra = saliency.frame_score_ratio(
             saliency.attentiveness(first), frame_of, DESK.n_groups
         )

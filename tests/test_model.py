@@ -430,7 +430,7 @@ def test_forward_zero_schedule_matches_trajectory():
 def test_forward_reduction_counts():
     cfg, clip, weights = small_setup(29)
     res = model.forward_clip(clip, SMALL, cfg, weights, [2, 2], model.TomeReducer())
-    assert [tr.tokens_in for tr in res.traces] == [8, 6, 4]
+    assert [tr.head_mean_probs.shape[0] for tr in res.traces] == [8, 6, 4]
     assert [tr.tokens_out for tr in res.traces] == [6, 4, 4]
     assert res.final_state.count == 4
     merging.check_state(res.final_state, 8)
@@ -463,16 +463,23 @@ def test_forward_deterministic():
     def forward(**kw):
         return model.forward_clip(clip, SMALL, cfg, weights, [2], model.VidTldrReducer(), **kw)
 
-    a, b, c = forward(keep_probs=True), forward(keep_probs=True), forward()
+    dumped = ([], [])
+    a = forward(dump=lambda layer, probs: dumped[0].append((layer, probs)))
+    b = forward(dump=lambda layer, probs: dumped[1].append((layer, probs)))
+    c = forward()
     for other in (b, c):
         assert_array_equal(a.final_state.features, other.final_state.features)
         assert_array_equal(a.final_state.masses, other.final_state.masses)
-    for ta, tb, tc in zip(a.traces, b.traces, c.traces):
-        assert ta.maps.probs.shape == (cfg.heads, ta.tokens_in, ta.tokens_in)
-        assert_array_equal(ta.maps.probs, tb.maps.probs)
-        assert_array_equal(ta.maps.head_mean_probs, tc.maps.head_mean_probs)
-        assert tc.maps.probs is None
-        assert ta.maps.keys is None and tc.maps.keys is None
+    for sink in dumped:  # once per layer, in layer order
+        assert [layer for layer, _ in sink] == list(range(cfg.layers))
+    for ta, tc, (_, pa), (_, pb) in zip(a.traces, c.traces, *dumped):
+        n = ta.head_mean_probs.shape[0]
+        assert pa.shape == (cfg.heads, n, n)
+        assert_array_equal(pa, pb)
+        assert_array_equal(
+            pa.mean(axis=0, dtype=np.float64).astype(np.float32), ta.head_mean_probs
+        )
+        assert_array_equal(ta.head_mean_probs, tc.head_mean_probs)
 
 
 def test_null_reducer_refuses_reduction():

@@ -4,6 +4,7 @@ import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,15 +218,17 @@ def test_config_and_forward_clip_share_the_merge_limit(tmp_path, mode):
     except InvariantError as e:
         config_rejects = str(e).startswith("run.schedule:")  # not baseline's zero-schedule rule
     cfg = parse_config_text(text)
-    synth, weights = runner.clip_and_weights(cfg)
     reducer = cfg.reducers(np.zeros((4, 16)))[mode] or model.NullReducer()
-    try:
-        model.forward_clip(synth.clip, cfg.clip_spec(), cfg.model_config(), weights, [9], reducer)
-        infeasible = False
-    except costmodel.InfeasibleScheduleError:
-        infeasible = True
-    except RuntimeError:  # NullReducer refuses to reduce once the plan is accepted
-        infeasible = False
+    with runner._inputs(cfg, 0) as (synth, weights, _):
+        try:
+            model.forward_clip(
+                synth.clip, cfg.clip_spec(), cfg.model_config(), weights, [9], reducer
+            )
+            infeasible = False
+        except costmodel.InfeasibleScheduleError:
+            infeasible = True
+        except RuntimeError:  # NullReducer refuses to reduce once the plan is accepted
+            infeasible = False
     assert config_rejects == infeasible == (mode in ("tome", "vidtldr"))
 
 
@@ -260,10 +263,10 @@ def executors(monkeypatch):
 
 
 def test_shared_inputs_are_read_only(tmp_path):
-    synth, weights = runner.clip_and_weights(make_cfg(tmp_path))
-    arrays = [synth.clip, weights.embed] + [
-        getattr(lw, f.name) for lw in weights.layers for f in dataclasses.fields(lw)
-    ]
+    with runner._inputs(make_cfg(tmp_path), 0) as (synth, weights, _):
+        arrays = [synth.clip, weights.embed] + [
+            getattr(lw, f.name) for lw in weights.layers for f in dataclasses.fields(lw)
+        ]
     assert len(arrays) == 2 + 6 * 4
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -412,7 +415,7 @@ def test_failed_write_leaves_no_run_directory(tmp_path, monkeypatch):
 
     def dump_then_fail(path, array):
         calls.append(path)
-        if len(calls) == 3:  # pooled.vtdr and attention_l00.vtdr are written
+        if len(calls) == 3:  # attention_l00 and _l01 are written, during the forward
             raise Boom("raised on purpose")
         tensorio.dump_tensor(path, array)
 
@@ -433,6 +436,74 @@ def test_failed_write_leaves_no_run_directory(tmp_path, monkeypatch):
         runner.run(cfg)
     assert [p.name for p in out.iterdir()] == [res.run_id]
     assert {p.name: p.read_bytes() for p in res.out_dir.iterdir()} == before
+
+
+def _failing_runs_leave_out_as_it_was(cfg, patch):
+    """With ``patch`` applied, runner.run(cfg) raises Boom, joins its
+    threads and leaves out/ with neither a run nor a staging directory;
+    after a good run, a failing rerun leaves that run's directory as it
+    was, byte for byte."""
+    out = Path(cfg.out_dir)
+    threads = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        patch(mp)
+        assert isinstance(_run_with_deadline(cfg), Boom)
+    assert threading.active_count() == threads
+    assert list(out.iterdir()) == []
+    res = runner.run(cfg)
+    before = {p.name: p.read_bytes() for p in res.out_dir.iterdir()}
+    with pytest.MonkeyPatch.context() as mp:
+        patch(mp)
+        assert isinstance(_run_with_deadline(cfg), Boom)
+    assert threading.active_count() == threads
+    assert [p.name for p in out.iterdir()] == [res.run_id]
+    assert {p.name: p.read_bytes() for p in res.out_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("mode", ["tome", "vidtldr"])
+def test_failed_dump_in_the_reduced_forward_leaves_no_run_directory(tmp_path, executors, mode):
+    cfg = make_cfg(tmp_path, mode=mode, extra="dump.attention = true\n")
+    failed_on = []
+
+    def fail_at_layer_1(path, array):
+        if path.name == "attention_l01.vtdr":
+            failed_on.append(threading.current_thread().name)
+            raise Boom("raised on purpose")
+        tensorio.dump_tensor(path, array)
+
+    _failing_runs_leave_out_as_it_was(
+        cfg, lambda mp: mp.setattr(runner, "dump_tensor", fail_at_layer_1)
+    )
+    assert [e.tasks for e in executors] == [["draw", "reduced"]] * 3
+    assert len(failed_on) == 2
+    assert all(name.startswith("ThreadPoolExecutor") for name in failed_on)  # the worker
+
+
+@pytest.mark.parametrize("mode", ["tome", "vidtldr"])
+def test_failed_rollout_joins_a_dumping_worker(tmp_path, executors, mode):
+    cfg = make_cfg(tmp_path, mode=mode, extra="dump.attention = true\n")
+    raised = threading.Event()
+    written = []
+
+    def rollout_fails(*args):
+        raised.set()
+        raise Boom("raised on purpose")
+
+    def dump_after_the_raise(path, array):
+        assert raised.wait(30)
+        time.sleep(0.05)  # the caller is unwinding meanwhile
+        tensorio.dump_tensor(path, array)
+        written.append(path.name)
+
+    def patch(mp):
+        raised.clear()
+        mp.setattr(saliency, "attention_rollout", rollout_fails)
+        mp.setattr(runner, "dump_tensor", dump_after_the_raise)
+
+    _failing_runs_leave_out_as_it_was(cfg, patch)
+    assert [e.tasks for e in executors] == [["draw", "reduced"]] * 3
+    # Both failed runs wrote every layer's dump after the caller raised.
+    assert written == [f"attention_l{l:02d}.vtdr" for l in range(4)] * 2
 
 
 def test_rerun_replaces_the_run_directory(tmp_path):
@@ -487,21 +558,23 @@ def test_results_hold_no_per_head_tensors(tmp_path, monkeypatch, mode, dump, gat
     for fwd in (res.clean, res.result):
         ndims = [a.ndim for a in _stored_arrays(fwd)]
         assert 2 in ndims and 3 not in ndims
-        assert all(tr.maps.probs is None and tr.maps.keys is None for tr in fwd.traces)
 
     dumps = sorted(res.out_dir.glob("attention_l*.vtdr"))
     if not dump:
         assert dumps == []
         return
-    synth, weights = runner.clip_and_weights(cfg)
     rollout = saliency.attention_rollout(runner.clean_forward(cfg).head_mean_maps())
-    direct = model.forward_clip(
-        synth.clip, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
-        cfg.reducers(rollout)[mode] or model.NullReducer(), keep_probs=True,
-    )
+    dumped = []
+    with runner._inputs(cfg, 0) as (synth, weights, _):
+        direct = model.forward_clip(
+            synth.clip, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
+            cfg.reducers(rollout)[mode] or model.NullReducer(),
+            dump=lambda layer, probs: dumped.append((layer, probs)),
+        )
     assert [p.name for p in dumps] == [f"attention_l{l:02d}.vtdr" for l in range(4)]
-    for path, tr in zip(dumps, direct.traces):
-        p = tr.maps.probs
-        assert p.shape == (2, tr.tokens_in, tr.tokens_in)
+    assert [layer for layer, _ in dumped] == list(range(4))
+    for path, tr, (_, p) in zip(dumps, direct.traces, dumped):
+        n = tr.head_mean_probs.shape[0]
+        assert p.shape == (2, n, n)
         header = b"VTDR\x01\x03" + struct.pack("<3I", *p.shape)
         assert path.read_bytes() == header + p.astype("<f4").tobytes()

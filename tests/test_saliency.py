@@ -114,6 +114,23 @@ def test_sharpness_extremes():
     assert ((s >= 0.0) & (s <= 1.0)).all()
 
 
+def test_sharpness_rejects_bad_input_with_one_check(monkeypatch):
+    with pytest.raises(ValueError, match="square"):
+        saliency.sharpness_saliency(np.full((3, 4), 0.25, dtype=np.float32))
+    with pytest.raises(ValueError, match="row-stochastic"):
+        saliency.sharpness_saliency(np.full((3, 3), 0.5, dtype=np.float32))
+    with pytest.raises(ValueError, match="row-stochastic"):
+        saliency.sharpness_saliency(np.array([[1.5, -0.5], [0.5, 0.5]], dtype=np.float32))
+    checked = []
+    real = numerics.require_stochastic_rows
+    monkeypatch.setattr(
+        numerics, "require_stochastic_rows",
+        lambda m, name: checked.append(name) or real(m, name),
+    )
+    saliency.sharpness_saliency(random_stochastic(numerics.make_rng(19), 6))
+    assert len(checked) == 1
+
+
 def test_sharpness_known_entropy_levels():
     base = np.stack([
         row_with_entropy(0.0, 16),
