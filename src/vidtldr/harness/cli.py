@@ -67,8 +67,10 @@ def _cmd_flops(args) -> int:
 
 def _cmd_temporal_bias(args) -> int:
     cfg = load_config(args.config)
-    clean = clean_forward(cfg)
-    ratios = compute_frame_ratios(clean, saliency.attention_rollout(clean.head_mean_maps()))
+    head_means = []
+    clean_forward(cfg, lambda layer, maps: head_means.append(maps.head_mean_probs))
+    rollout = saliency.attention_rollout(head_means)
+    ratios = compute_frame_ratios(cfg.clip_spec(), head_means, rollout)
     out_dir = Path(cfg.out_dir) / cfg.run_id
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "frame_ratio.csv"
@@ -81,10 +83,13 @@ def _cmd_temporal_bias(args) -> int:
 
 def _cmd_dump_saliency(args) -> int:
     cfg = load_config(args.config)
-    clean = clean_forward(cfg)
-    per_layer = np.stack(
-        [saliency.masked_saliency_from_map(m) for m in clean.head_mean_maps()]
-    ).astype(np.float32)
+    rows = []
+
+    def sink(layer, maps):
+        rows.append(saliency.masked_saliency_from_map(maps.head_mean_probs))
+
+    clean_forward(cfg, sink)
+    per_layer = np.stack(rows).astype(np.float32)
     out_dir = Path(cfg.out_dir) / cfg.run_id
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "saliency.vtdr"

@@ -213,9 +213,12 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     for key, value in effective.items():
         if value is None:
             raise ConfigError(f"{source}: missing required key {key!r}")
-    cfg = RunConfig(**{
-        f.name: f.metadata["parse"](key, effective[key]) for key, f in _FIELDS.items()
-    })
+    try:
+        cfg = RunConfig(**{
+            f.name: f.metadata["parse"](key, effective[key]) for key, f in _FIELDS.items()
+        })
+    except ConfigError as e:
+        raise ConfigError(f"{source}: {e}") from None
     _validate(cfg)
     return cfg
 
@@ -236,7 +239,8 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def load_config(path) -> RunConfig:
-    """Load, parse, and validate a config file."""
+    """Load, parse, and validate a config file. A ConfigError's message
+    begins with the file's path."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")

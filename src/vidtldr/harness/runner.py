@@ -45,10 +45,14 @@ that raises removes what it wrote, once every thread that could still
 write there is joined, so <run_id>/ is either complete or as an earlier
 run left it.
 
-A RunResult holds both forwards' traces with their head-mean maps,
-token counts and states, but no per-head (heads, n, n) probs: with
-dump.attention, the run's result forward writes each layer's probs into
-the hidden directory as that layer finishes, and nothing keeps them.
+Each layer's attention maps leave forward_clip only through its sink.
+The clean forward's sink keeps the head means, for the rollout and
+frame_ratio.csv, until run returns. The result forward's sink writes
+the layer's probs into the hidden directory with dump.attention and
+takes its metrics.csv mean_saliency, so its maps die with the layer;
+on an overlapped run that work is the worker thread's. Of the two
+forwards, a RunResult keeps only their traces (token counts, states and
+wall times), and no n x n map.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ import numpy as np
 from .. import costmodel, numerics, saliency
 from ..merging import TokenState
 from ..model import (
+    ClipSpec,
     ForwardResult,
     NullReducer,
     WeightStream,
@@ -74,7 +79,7 @@ from ..model import (
     init_weights,
 )
 from .clips import SynthClip, synth_clip
-from .config import CLIP_IDENTITY, InvariantError, RunConfig, load_config
+from .config import CLIP_IDENTITY, ConfigError, InvariantError, RunConfig, load_config
 from .tensorio import dump_tensor, load_tensor
 
 METRICS_HEADER = ["run_id", "mode", "layer", "token_count", "flops", "mean_saliency", "wall_ms"]
@@ -118,17 +123,20 @@ class RunResult:
         return self.result.final_state
 
 
-def compute_frame_ratios(clean: ForwardResult, rollout: np.ndarray) -> np.ndarray:
+def compute_frame_ratios(
+    spec: ClipSpec, head_means: list[np.ndarray], rollout: np.ndarray
+) -> np.ndarray:
     """Per-frame ratios of the three estimators at the first layer.
 
+    ``head_means`` are the no-reduction forward's head-mean maps, in
+    layer order, and ``rollout`` their ``attention_rollout`` table.
     Returns an (n_groups, 3) array: attentiveness, rollout (row 0 of
-    the clean forward's ``attention_rollout`` table, from layer 0
-    through the last), and masked sharpness saliency, all measured on
-    the no-reduction forward.
+    the table, from layer 0 through the last), and masked sharpness
+    saliency.
     """
-    first = clean.traces[0].head_mean_probs
-    frame_of = clean.spec.tube_frame_groups()
-    g = clean.spec.n_groups
+    first = head_means[0]
+    frame_of = spec.tube_frame_groups()
+    g = spec.n_groups
     cols = [
         saliency.frame_score_ratio(saliency.attentiveness(first), frame_of, g),
         saliency.frame_score_ratio(rollout[0], frame_of, g),
@@ -170,17 +178,17 @@ def _inputs(cfg: RunConfig, macs: int):
     drawing.result()
 
 
-def clean_forward(cfg: RunConfig) -> ForwardResult:
-    """A run's no-reduction forward."""
+def clean_forward(cfg: RunConfig, sink=None) -> ForwardResult:
+    """A run's no-reduction forward; ``sink`` is forward_clip's."""
     macs = costmodel.schedule_flops(cfg.cost_config(), []).total_flops
     with _inputs(cfg, macs) as (synth, weights, _):
-        return _clean_forward(cfg, synth, weights)
+        return _clean_forward(cfg, synth, weights, sink)
 
 
-def _clean_forward(cfg: RunConfig, synth: SynthClip, weights, dump=None) -> ForwardResult:
+def _clean_forward(cfg: RunConfig, synth: SynthClip, weights, sink) -> ForwardResult:
     return forward_clip(
         synth.clip, cfg.clip_spec(), cfg.model_config(), weights, [], NullReducer(),
-        dump=dump,
+        sink=sink,
     )
 
 
@@ -201,22 +209,31 @@ def run(cfg: RunConfig) -> RunResult:
     run_dir = staging / cfg.run_id
     try:
         run_dir.mkdir()
+        head_means, mean_saliency = [], []
 
-        def dump(layer, probs):
-            dump_tensor(run_dir / f"attention_l{layer:02d}.vtdr", probs)
+        # The run's result is the reduced forward, or baseline's clean one.
+        def result_sink(layer, maps):
+            if cfg.dump_attention:
+                dump_tensor(run_dir / f"attention_l{layer:02d}.vtdr", maps.probs)
+            mean_saliency.append(
+                float(saliency.masked_saliency_from_map(maps.head_mean_probs).mean())
+            )
 
-        # Only the run's result is dumped: the reduced forward, or baseline's clean one.
-        sink = dump if cfg.dump_attention else None
+        def clean_sink(layer, maps):
+            head_means.append(maps.head_mean_probs)
+            if reducer is None:
+                result_sink(layer, maps)
+
         with _inputs(cfg, cost.total_flops) as (synth, weights, pool):
 
             def clean_and_rollout():
-                clean = _clean_forward(cfg, synth, weights, sink if reducer is None else None)
-                return clean, saliency.attention_rollout(clean.head_mean_maps())
+                clean = _clean_forward(cfg, synth, weights, clean_sink)
+                return clean, saliency.attention_rollout(head_means)
 
             def reduced(by):
                 return forward_clip(
                     synth.clip, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
-                    by, dump=sink,
+                    by, sink=result_sink,
                 )
 
             if pool is None or reducer is None or getattr(reducer, "reads_rollout", False):
@@ -233,7 +250,8 @@ def run(cfg: RunConfig) -> RunResult:
                 f"forward token trajectory {observed} diverged from cost model "
                 f"{cost.token_trajectory}"
             )
-        _write_artifacts(run_dir, cfg, cost, clean, rollout, result)
+        ratios = compute_frame_ratios(cfg.clip_spec(), head_means, rollout)
+        _write_artifacts(run_dir, cfg, cost, ratios, mean_saliency, result)
         try:  # move an earlier run's directory aside; the rmtree below removes it
             out_dir.rename(staging / "replaced")
         except FileNotFoundError:
@@ -250,7 +268,7 @@ def run(cfg: RunConfig) -> RunResult:
 
 def _write_artifacts(
     run_dir: Path, cfg: RunConfig, cost: costmodel.CostReport,
-    clean: ForwardResult, rollout: np.ndarray, result: ForwardResult,
+    ratios: np.ndarray, mean_saliency: list[float], result: ForwardResult,
 ) -> None:
     """Write a run's artifacts, but for the attention dumps, into ``run_dir``."""
     spec = cfg.clip_spec()
@@ -259,16 +277,13 @@ def _write_artifacts(
     with open(run_dir / "metrics.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(METRICS_HEADER)
-        for l, tr in enumerate(result.traces):
-            mean_sal = float(
-                saliency.masked_saliency_from_map(tr.head_mean_probs).mean()
-            )
+        for l, (tr, mean_sal) in enumerate(zip(result.traces, mean_saliency)):
             w.writerow([
                 cfg.run_id, cfg.mode, l, tr.tokens_out,
                 cost.per_layer_flops[l], _fmt(mean_sal), _fmt(tr.wall_ms),
             ])
 
-    write_frame_ratios(run_dir / "frame_ratio.csv", compute_frame_ratios(clean, rollout))
+    write_frame_ratios(run_dir / "frame_ratio.csv", ratios)
 
     final = result.final_state
     live = final.owner >= 0
@@ -311,13 +326,17 @@ def compare(run_dirs: list) -> tuple[list[str], list[list[str]]]:
 
     The first directory is the reference; feature_distance is the
     cosine distance between each run's pooled final features and the
-    reference's (exactly 0.0 for bit-identical features). A pooled.vtdr
-    or metrics.csv that does not parse raises ArtifactError, and pooled
-    features of another shape than the reference's raise InvariantError.
+    reference's (exactly 0.0 for bit-identical features). A config.txt,
+    pooled.vtdr or metrics.csv that does not parse raises ArtifactError,
+    and pooled features of another shape than the reference's raise
+    InvariantError.
     """
     if len(run_dirs) < 2:
         raise InvariantError("compare needs at least 2 run directories")
-    configs = [load_config(Path(d) / "config.txt") for d in run_dirs]
+    try:
+        configs = [load_config(Path(d) / "config.txt") for d in run_dirs]
+    except ConfigError as e:  # the message names the file
+        raise ArtifactError(str(e)) from None
     ref = configs[0]
     for d, c in zip(run_dirs[1:], configs[1:]):
         bad = [f for f in CLIP_IDENTITY if getattr(c, f) != getattr(ref, f)]

@@ -274,8 +274,8 @@ def embed_clip(clip: np.ndarray, spec: ClipSpec, weights: ModelWeights) -> mergi
 class AttentionMaps:
     """One layer's attention tensors, plus the keys for matching.
 
-    attention_forward makes them and the layer's reducer reads them;
-    forward_clip keeps only the head mean, in the LayerTrace.
+    attention_forward makes them, the layer's reducer reads them and
+    forward_clip then hands them to its sink; no trace keeps them.
     """
 
     probs: np.ndarray            # (heads, n, n) float32, row-stochastic
@@ -406,11 +406,10 @@ class PruneReducer:
 
 @dataclass(frozen=True)
 class LayerTrace:
-    """What one layer leaves behind once it is done: its head-mean map
-    (n x n for the n tokens it took in), its token count out, the state
-    after it and its wall time."""
+    """What one layer leaves behind once it is done: its token count
+    out, the state after it and its wall time. Its attention maps go
+    only to forward_clip's sink."""
 
-    head_mean_probs: np.ndarray
     tokens_out: int
     state_after: merging.TokenState
     wall_ms: float
@@ -425,9 +424,6 @@ class ForwardResult:
     def final_state(self) -> merging.TokenState:
         return self.traces[-1].state_after
 
-    def head_mean_maps(self) -> list[np.ndarray]:
-        return [tr.head_mean_probs for tr in self.traces]
-
 
 def forward_clip(
     clip: np.ndarray,
@@ -437,7 +433,7 @@ def forward_clip(
     schedule: list[int],
     reducer: Reducer,
     *,
-    dump=None,
+    sink=None,
 ) -> ForwardResult:
     """Run the encoder over a clip, reducing tokens per the schedule.
 
@@ -445,9 +441,9 @@ def forward_clip(
     its MLP. costmodel.plan_schedule checks the schedule up front, with
     the floor(n/2) merge limit for a reducer whose ``merging`` is true.
     Proportional attention applies exactly when the reducer merges.
-    The sink ``dump``, if given, is called as ``dump(layer, probs)``
-    with each layer's (heads, n, n) probs once its wall time is taken;
-    no trace keeps them.
+    The ``sink``, if given, is called as ``sink(layer, maps)`` with each
+    layer's AttentionMaps, at the n tokens it took in, once that layer's
+    wall time is taken. It is the maps' one exit: no trace keeps them.
     """
     merges = getattr(reducer, "merging", False)
     full = plan_schedule(spec.n_tokens, cfg.layers, schedule, merging=merges)
@@ -465,12 +461,11 @@ def forward_clip(
         state = state.with_features(mlp_forward(state.features, lw))
         traces.append(
             LayerTrace(
-                head_mean_probs=maps.head_mean_probs,
                 tokens_out=state.count,
                 state_after=state,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
-        if dump is not None:
-            dump(layer, maps.probs)
+        if sink is not None:
+            sink(layer, maps)
     return ForwardResult(spec=spec, traces=tuple(traces))

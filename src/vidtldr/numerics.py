@@ -5,28 +5,36 @@ same outputs on every call in a process and across runs on the same
 platform. Matrices are stored as float32 and reductions accumulate in
 float64.
 
-``_k_ordered_sum`` is the reference accumulator: a float64 sum that
-adds the products of each k in increasing k. ``_k_ordered_rows`` gives
-its bits for row pairs, as a sequential ``np.add.accumulate``; every
-norm, and every dot product that no certificate covers, comes from it.
-``matmul`` returns, bit for bit, what the reference (and so the naive
-triple loop) gives, but computes it as a certified float64 BLAS
-product: one GEMM, plus row norms of A and column norms of B that bound
-its error, proves that BLAS's result, rounded to float32, equals the
-k-ordered one. The elements the bound cannot certify, about 1 per 10k
-on the model's large products, are recomputed in fixed-size blocks.
-``cosine_argmax`` uses the same bound to find each row's best match
-under ``cosine_matrix`` from one GEMM, computing exact dots only for
-the candidates the bound cannot separate. Both assume only that BLAS's
-float64 dot products obey the standard summation error bound in some
-order, which holds for blocked and FMA kernels but not for
-Strassen-type algorithms. ``cosine_matrix``, the reference the tests
-compare ``cosine_argmax`` against, and ``cosine_sim``, its one-pair
-case, are plain k-ordered sums. ``row_softmax`` and
-``row_neg_entropy`` use numpy's pairwise row sums. ``erf`` is Cephes'
-erf, so ``scipy.special.erf``, bit for bit, from numpy's basic
-operations, which round alike on every SIMD path; it assumes only that
-``math.exp`` is the C library's exp, the one Cephes calls.
+The reference accumulator is the k-ordered sum: a float64 sum that
+starts from +0.0 and adds the products of each k in increasing k.
+``_k_ordered_rows`` gives its bits for row pairs, as a sequential
+``np.add.accumulate``; every norm, and every dot product that no
+certificate covers, comes from it. ``matmul`` returns, bit for bit,
+what the reference (and so the naive triple loop) gives, but computes
+it as a certified float64 BLAS product: one GEMM, plus row norms of A
+and column norms of B that bound its error, proves that BLAS's result,
+rounded to float32, equals the k-ordered one. The elements the bound
+cannot certify, about 1 per 10k on the model's large products, are
+recomputed in fixed-size blocks.
+
+The reference cosine of two rows is their k-ordered dot divided by the
+product of their norms, each the square root of a k-ordered sum of
+squares, and 0.0 where either norm is below COSINE_NORM_EPS.
+``cosine_argmax`` uses ``matmul``'s bound to find each row's best
+match under the reference cosines from one GEMM, computing exact dots
+only for the candidates the bound cannot separate. Both assume only
+that BLAS's float64 dot products obey the standard summation error
+bound in some order, which holds for blocked and FMA kernels but not
+for Strassen-type algorithms. ``cosine_sim`` is the reference cosine
+of one pair. The tests hold both references as plain loops
+(``k_ordered_sum`` and ``cosine_matrix`` in ``tests/oracles.py``) and
+check these kernels against them bit for bit.
+
+``row_softmax`` and ``row_neg_entropy`` use numpy's pairwise row sums.
+``erf`` is Cephes' erf, so ``scipy.special.erf``, bit for bit, from
+numpy's basic operations, which round alike on every SIMD path; it
+assumes only that ``math.exp`` is the C library's exp, the one Cephes
+calls.
 """
 
 from __future__ import annotations
@@ -78,18 +86,10 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def _k_ordered_sum(a64: np.ndarray, b64: np.ndarray) -> np.ndarray:
-    """Float64 sum of the broadcast products a64[k] * b64[k], in increasing k."""
-    acc = np.zeros(np.broadcast_shapes(a64.shape[1:], b64.shape[1:]), dtype=np.float64)
-    for x, y in zip(a64, b64):
-        acc += x * y
-    return acc
-
-
 def _k_ordered_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Float64 sum of each row of the products x * y, in increasing column.
 
-    Bit-identical to ``_k_ordered_sum(x.T, y.T)``: numpy documents
+    Bit-identical to the k-ordered sum of each row pair: numpy documents
     ``np.add.accumulate`` as sequential, r[k] = r[k - 1] + p[k]. It
     starts from p[0] where the reference starts from +0.0. That differs
     only on a row of -0.0 products, which accumulates to -0.0 where the
@@ -298,39 +298,24 @@ def erf(t) -> np.ndarray:
     return y.reshape(t.shape)
 
 
-def cosine_matrix(a, b) -> np.ndarray:
-    """(m, n) float64 cosine similarity of each row of ``a`` with each row of ``b``.
-
-    Dots and norms are k-ordered float64 sums. An entry is 0.0 where
-    either row's norm is below COSINE_NORM_EPS.
-    """
-    a64 = np.asarray(a, dtype=np.float64)
-    b64 = np.asarray(b, dtype=np.float64)
-    if a64.ndim != 2 or b64.ndim != 2 or a64.shape[1] != b64.shape[1]:
-        raise ValueError(f"cosine_matrix width mismatch: {a64.shape} vs {b64.shape}")
-    dots = _k_ordered_sum(a64.T[:, :, None], b64.T[:, None, :])
-    na = _norms(a64)[:, None]
-    nb = _norms(b64)[None, :]
-    flat = (na < COSINE_NORM_EPS) | (nb < COSINE_NORM_EPS)
-    return np.where(flat, 0.0, dots / np.where(flat, 1.0, na * nb))
-
-
 def _cosines(a: np.ndarray, b: np.ndarray, na: np.ndarray, nb: np.ndarray,
              ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Entries (ii, jj) of ``cosine_matrix(a, b)``, bit for bit, given its norms."""
+    """The reference cosines of row pairs (a[ii], b[jj]), bit for bit, given
+    the rows' k-ordered norms ``na`` and ``nb``."""
     na, nb = na[ii], nb[jj]
     flat = (na < COSINE_NORM_EPS) | (nb < COSINE_NORM_EPS)
     return np.where(flat, 0.0, _k_ordered_dots(a, b, ii, jj) / np.where(flat, 1.0, na * nb))
 
 
 def cosine_argmax(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's first argmax under ``cosine_matrix(a, b)`` and its value.
+    """Each row's first argmax under the reference cosines and its value.
 
-    Returns (j, v): j[i] = np.argmax(cosine_matrix(a, b)[i]) and v[i]
-    that entry's value, both bit for bit, for float32 ``a`` (m, k) and
-    ``b`` (n, k), n >= 1. All m * n dots come from one float64 BLAS
-    GEMM; a dot is computed in k order only where the GEMM cannot
-    decide the row.
+    With C the (m, n) matrix of reference cosines of each row of float32
+    ``a`` (m, k) with each row of ``b`` (n, k), n >= 1 (the tests'
+    ``cosine_matrix(a, b)``), returns (j, v): j[i] = np.argmax(C[i])
+    and v[i] = C[i, j[i]], both bit for bit. All m * n dots come from
+    one float64 BLAS GEMM; a dot is computed in k order only where the
+    GEMM cannot decide the row.
 
     The bound is ``matmul``'s, per entry. The norms na[i] and nb[j] are
     the reference's k-ordered ones, so p = fl(na * nb) is its
@@ -376,7 +361,7 @@ def cosine_argmax(a, b) -> tuple[np.ndarray, np.ndarray]:
 def cosine_sim(u, v) -> float:
     """Cosine similarity of two 1-D vectors in float64.
 
-    The one-pair case of ``cosine_matrix``, bit for bit: returns 0.0 if
+    The reference cosine of one pair, bit for bit: returns 0.0 if
     either vector has norm below COSINE_NORM_EPS.
     """
     x = np.asarray(u, dtype=np.float64).reshape(1, -1)

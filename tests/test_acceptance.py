@@ -339,6 +339,16 @@ def test_criterion_07_proportional_attention_identity(capsys):
     assert ok, detail
 
 
+def head_mean_maps(clip, cfg, weights):
+    """Each layer's head-mean map of a no-reduction forward, from its sink."""
+    maps = []
+    forward_clip(
+        clip, DESK, cfg, weights, [], NullReducer(),
+        sink=lambda layer, m: maps.append(m.head_mean_probs),
+    )
+    return maps
+
+
 def test_criterion_08_foreground_discrimination(capsys):
     cfg = ModelConfig(width=64, heads=4, layers=2, temporal_bias=0.0)
     margins = []
@@ -346,8 +356,8 @@ def test_criterion_08_foreground_discrimination(capsys):
         clip_seed, weight_seed = numerics.spawn_seeds(seed, 2)
         synth = synth_clip(DESK, clip_seed, "moving-blob")
         weights = init_weights(cfg, DESK, weight_seed)
-        res = forward_clip(synth.clip, DESK, cfg, weights, [], NullReducer())
-        shat = saliency.masked_saliency_from_map(res.traces[1].head_mean_probs)
+        maps = head_mean_maps(synth.clip, cfg, weights)
+        shat = saliency.masked_saliency_from_map(maps[1])
         fg = np.zeros(DESK.n_tokens, dtype=bool)
         fg[list(synth.foreground)] = True
         margins.append(float(shat[fg].mean() - shat[~fg].mean()))
@@ -370,8 +380,7 @@ def test_criterion_09_temporal_bias_mitigation(capsys):
         clip_seed, weight_seed = numerics.spawn_seeds(seed, 2)
         synth = synth_clip(DESK, clip_seed, "front-loaded")
         weights = init_weights(cfg, DESK, weight_seed)
-        res = forward_clip(synth.clip, DESK, cfg, weights, [], NullReducer())
-        first = res.traces[0].head_mean_probs
+        first = head_mean_maps(synth.clip, cfg, weights)[0]
         ra = saliency.frame_score_ratio(
             saliency.attentiveness(first), frame_of, DESK.n_groups
         )

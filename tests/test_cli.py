@@ -195,6 +195,17 @@ def test_compare_corrupt_pooled_exit_code(tmp_path, capsys):
     assert err.startswith("io error") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["", "run.seed = x\n", "run.seed = 1\nrun.seed = 1\n"])
+def test_compare_unparsable_config_exit_code(tmp_path, capsys, text):
+    dirs = _two_runs(tmp_path, capsys)
+    config = tmp_path / "out" / dirs[1].split("/")[-1] / "config.txt"
+    config.write_text(text)
+    assert cli.main(["compare"] + dirs) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("io error") and err.count("\n") == 1
+    assert err.count(str(config)) == 1
+
+
 def test_compare_header_only_metrics_exit_code(tmp_path, capsys):
     dirs = _two_runs(tmp_path, capsys)
     metrics = tmp_path / "out" / dirs[1].split("/")[-1] / "metrics.csv"

@@ -43,6 +43,18 @@ def test_unknown_key_reports_line():
         parse_config_text("run.seed = 1\nrun.sched = 4\n", source="x.cfg")
 
 
+@pytest.mark.parametrize("text", [
+    "", "run.seed = x\n", "run.seed = 1\nrun.mode = nope\n", "run.seed = 1\nbogus\n",
+    "run.seed = 1\nrun.seed = 1\n", b"run.seed = 1\nout.dir = caf\xe9\n",
+])
+def test_config_errors_name_the_file(tmp_path, text):
+    path = tmp_path / "a.cfg"
+    (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+    with pytest.raises(ConfigError) as e:
+        config.load_config(path)
+    assert str(e.value).startswith(f"{path}:")
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("run.seed = 1\nrun.seed = 2\n")

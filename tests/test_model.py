@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -429,8 +430,12 @@ def test_forward_zero_schedule_matches_trajectory():
 
 def test_forward_reduction_counts():
     cfg, clip, weights = small_setup(29)
-    res = model.forward_clip(clip, SMALL, cfg, weights, [2, 2], model.TomeReducer())
-    assert [tr.head_mean_probs.shape[0] for tr in res.traces] == [8, 6, 4]
+    entering = []
+    res = model.forward_clip(
+        clip, SMALL, cfg, weights, [2, 2], model.TomeReducer(),
+        sink=lambda layer, maps: entering.append(maps.head_mean_probs.shape[0]),
+    )
+    assert entering == [8, 6, 4]
     assert [tr.tokens_out for tr in res.traces] == [6, 4, 4]
     assert res.final_state.count == 4
     merging.check_state(res.final_state, 8)
@@ -463,23 +468,102 @@ def test_forward_deterministic():
     def forward(**kw):
         return model.forward_clip(clip, SMALL, cfg, weights, [2], model.VidTldrReducer(), **kw)
 
-    dumped = ([], [])
-    a = forward(dump=lambda layer, probs: dumped[0].append((layer, probs)))
-    b = forward(dump=lambda layer, probs: dumped[1].append((layer, probs)))
+    seen = ([], [])
+    a = forward(sink=lambda layer, maps: seen[0].append((layer, maps)))
+    b = forward(sink=lambda layer, maps: seen[1].append((layer, maps)))
     c = forward()
     for other in (b, c):
-        assert_array_equal(a.final_state.features, other.final_state.features)
-        assert_array_equal(a.final_state.masses, other.final_state.masses)
-    for sink in dumped:  # once per layer, in layer order
+        assert_states_equal(a, other)
+    for sink in seen:  # once per layer, in layer order
         assert [layer for layer, _ in sink] == list(range(cfg.layers))
-    for ta, tc, (_, pa), (_, pb) in zip(a.traces, c.traces, *dumped):
-        n = ta.head_mean_probs.shape[0]
-        assert pa.shape == (cfg.heads, n, n)
-        assert_array_equal(pa, pb)
+    for n, (_, ma), (_, mb) in zip(entering_counts(a), *seen):
+        assert ma.probs.shape == (cfg.heads, n, n)
+        for field in ("probs", "head_mean_probs", "keys"):
+            assert_array_equal(getattr(ma, field), getattr(mb, field))
         assert_array_equal(
-            pa.mean(axis=0, dtype=np.float64).astype(np.float32), ta.head_mean_probs
+            ma.probs.mean(axis=0, dtype=np.float64).astype(np.float32), ma.head_mean_probs
         )
-        assert_array_equal(ta.head_mean_probs, tc.head_mean_probs)
+
+
+def entering_counts(res):
+    """Each layer's entering token count."""
+    return [SMALL.n_tokens] + [tr.tokens_out for tr in res.traces[:-1]]
+
+
+def assert_states_equal(a, b):
+    """Two forwards left the same bits at every layer."""
+    assert [tr.tokens_out for tr in a.traces] == [tr.tokens_out for tr in b.traces]
+    for ta, tb in zip(a.traces, b.traces):
+        for field in ("features", "masses", "owner"):
+            x, y = getattr(ta.state_after, field), getattr(tb.state_after, field)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+SINK_CASES = [
+    ([], model.NullReducer()),
+    ([2, 2], model.TomeReducer()),
+    ([3, 1], model.VidTldrReducer()),
+    ([4, 2, 1], model.PruneReducer(lambda state, maps, layer: state.masses)),
+]
+
+
+@pytest.mark.parametrize("schedule, reducer", SINK_CASES)
+def test_sink_gets_each_layer_once_at_its_entering_count(schedule, reducer):
+    cfg, clip, weights = small_setup(53)
+    calls = []
+    res = model.forward_clip(
+        clip, SMALL, cfg, weights, schedule, reducer,
+        sink=lambda layer, maps: calls.append((layer, maps)),
+    )
+    assert [layer for layer, _ in calls] == list(range(cfg.layers))
+    for n, (_, maps) in zip(entering_counts(res), calls):
+        assert maps.probs.dtype == maps.head_mean_probs.dtype == np.float32
+        assert maps.probs.shape == (cfg.heads, n, n)
+        assert maps.head_mean_probs.shape == (n, n)
+        assert maps.keys.shape == (n, cfg.width)
+        want = maps.probs.mean(axis=0, dtype=np.float64).astype(np.float32)
+        assert maps.head_mean_probs.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("schedule, reducer", SINK_CASES)
+def test_forward_is_bit_identical_with_and_without_a_sink(schedule, reducer):
+    cfg, clip, weights = small_setup(59)
+    plain = model.forward_clip(clip, SMALL, cfg, weights, schedule, reducer)
+    sunk = model.forward_clip(
+        clip, SMALL, cfg, weights, schedule, reducer, sink=lambda layer, maps: None
+    )
+    assert_states_equal(plain, sunk)
+
+
+def test_sink_runs_after_the_layer_wall_time():
+    cfg, clip, weights = small_setup(61)
+    res = model.forward_clip(
+        clip, SMALL, cfg, weights, [2], model.TomeReducer(),
+        sink=lambda layer, maps: time.sleep(0.25),
+    )
+    # An 8-token layer takes about a millisecond; the sleep would dominate.
+    assert all(tr.wall_ms < 250.0 for tr in res.traces)
+
+
+def test_a_raising_sink_stops_the_forward():
+    cfg, clip, weights = small_setup(67)
+    calls = []
+
+    def sink(layer, maps):
+        calls.append(layer)
+        if layer == 1:
+            raise OSError("sink failed at layer 1")
+
+    with pytest.raises(OSError, match="sink failed at layer 1"):
+        model.forward_clip(clip, SMALL, cfg, weights, [2], model.VidTldrReducer(), sink=sink)
+    assert calls == [0, 1]
+
+
+def test_traces_keep_no_maps():
+    assert [f.name for f in dataclasses.fields(model.LayerTrace)] == [
+        "tokens_out", "state_after", "wall_ms"
+    ]
+    assert not hasattr(model.ForwardResult, "head_mean_maps")
 
 
 def test_null_reducer_refuses_reduction():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import erf as scipy_erf
 
+from oracles import cosine_matrix, k_ordered_sum
 from vidtldr import numerics
 
 
@@ -148,7 +149,7 @@ def test_k_ordered_rows_equals_reference_kernel():
     other[0] = -1.0
     blocks.append((special, other))
     for x, y in blocks:
-        want = numerics._k_ordered_sum(x.T.astype(np.float64), y.T.astype(np.float64))
+        want = k_ordered_sum(x.T.astype(np.float64), y.T.astype(np.float64))
         assert numerics._k_ordered_rows(x, y).tobytes() == want.tobytes()
 
 
@@ -356,7 +357,7 @@ def test_cosine_matrix_equals_naive_oracle_exactly():
         b = rng.normal(size=(n, k)).astype(np.float32)
         a[0] = 0.0  # zero-norm rows give exactly 0.0
         b[-1] = 0.0
-        got = numerics.cosine_matrix(a, b)
+        got = cosine_matrix(a, b)
         a64, b64 = a.astype(np.float64), b.astype(np.float64)
         expect = np.array([[naive_cosine(u, v) for v in b64] for u in a64])
         assert got.dtype == np.float64
@@ -365,9 +366,9 @@ def test_cosine_matrix_equals_naive_oracle_exactly():
 
 def test_cosine_matrix_width_mismatch():
     with pytest.raises(ValueError):
-        numerics.cosine_matrix(np.ones((2, 3)), np.ones((2, 4)))
+        cosine_matrix(np.ones((2, 3)), np.ones((2, 4)))
     with pytest.raises(ValueError):
-        numerics.cosine_matrix(np.ones(3), np.ones((2, 3)))
+        cosine_matrix(np.ones(3), np.ones((2, 3)))
 
 
 def _cos_row(rng, kind, k, prev):
@@ -420,7 +421,7 @@ def test_cosine_argmax_property_equals_reference(m, n, k, seed, kinds, pick):
             base = pool[-1]
     pool = np.stack(pool)
     a, b = pool[pick[:m]].reshape(m, k), pool[pick[12:12 + n]]
-    sims = numerics.cosine_matrix(a, b)
+    sims = cosine_matrix(a, b)
     want = np.argmax(sims, axis=1)
     j, v = numerics.cosine_argmax(a, b)
     assert_array_equal(j, want)
@@ -444,7 +445,7 @@ def test_cosine_argmax_identical_keys_take_exact_path(monkeypatch):
     keys = np.repeat(row, 196, axis=0)
     j, v = numerics.cosine_argmax(keys, keys)
     assert pairs == [196 * 196, 196]  # every entry, then each row's value
-    sims = numerics.cosine_matrix(keys, keys)
+    sims = cosine_matrix(keys, keys)
     assert_array_equal(j, np.zeros(196))
     assert v.tobytes() == sims[:, 0].tobytes()
 
@@ -457,7 +458,7 @@ def test_cosine_argmax_blas_order_never_decides():
     ortho = np.zeros(256, dtype=np.float32)
     ortho[1:3] = [1.0, -1.0]
     b = np.stack([ortho, np.ones(256, dtype=np.float32)])
-    sims = numerics.cosine_matrix(u, b)
+    sims = cosine_matrix(u, b)
     assert sims.tolist() == [[0.0, 0.0]]
     j, v = numerics.cosine_argmax(u, b)
     assert j.tolist() == [0] and v.tobytes() == np.float64([0.0]).tobytes()

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import gc
 import struct
 import threading
 import time
+import types
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -232,12 +234,24 @@ def test_config_and_forward_clip_share_the_merge_limit(tmp_path, mode):
     assert config_rejects == infeasible == (mode in ("tome", "vidtldr"))
 
 
+def clean_head_means(cfg):
+    """The clean forward's head-mean maps, collected through its sink."""
+    head_means = []
+    runner.clean_forward(cfg, lambda layer, maps: head_means.append(maps.head_mean_probs))
+    return head_means
+
+
 def test_compute_frame_ratios_shape(tmp_path):
-    res = runner.run(make_cfg(tmp_path, mode="baseline", schedule=""))
-    rollout = saliency.attention_rollout(res.clean.head_mean_maps())
-    ratios = runner.compute_frame_ratios(res.clean, rollout)
+    cfg = make_cfg(tmp_path, mode="baseline", schedule="")
+    res = runner.run(cfg)
+    head_means = clean_head_means(cfg)
+    ratios = runner.compute_frame_ratios(
+        cfg.clip_spec(), head_means, saliency.attention_rollout(head_means)
+    )
     assert ratios.shape == (2, 3)
     assert np.allclose(ratios.sum(axis=0), 1.0, atol=1e-9)
+    runner.write_frame_ratios(tmp_path / "ratios.csv", ratios)
+    assert (tmp_path / "ratios.csv").read_bytes() == (res.out_dir / "frame_ratio.csv").read_bytes()
 
 
 @pytest.fixture
@@ -563,18 +577,64 @@ def test_results_hold_no_per_head_tensors(tmp_path, monkeypatch, mode, dump, gat
     if not dump:
         assert dumps == []
         return
-    rollout = saliency.attention_rollout(runner.clean_forward(cfg).head_mean_maps())
+    rollout = saliency.attention_rollout(clean_head_means(cfg))
     dumped = []
     with runner._inputs(cfg, 0) as (synth, weights, _):
         direct = model.forward_clip(
             synth.clip, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
             cfg.reducers(rollout)[mode] or model.NullReducer(),
-            dump=lambda layer, probs: dumped.append((layer, probs)),
+            sink=lambda layer, maps: dumped.append((layer, maps.probs)),
         )
     assert [p.name for p in dumps] == [f"attention_l{l:02d}.vtdr" for l in range(4)]
     assert [layer for layer, _ in dumped] == list(range(4))
-    for path, tr, (_, p) in zip(dumps, direct.traces, dumped):
-        n = tr.head_mean_probs.shape[0]
+    entering = [cfg.clip_spec().n_tokens] + [tr.tokens_out for tr in direct.traces[:-1]]
+    for path, n, (_, p) in zip(dumps, entering, dumped):
         assert p.shape == (2, n, n)
         header = b"VTDR\x01\x03" + struct.pack("<3I", *p.shape)
         assert path.read_bytes() == header + p.astype("<f4").tobytes()
+
+
+def _reachable_arrays(root, skip=()):
+    """Every ndarray that object references lead to from ``root``, apart
+    from those in ``skip``; modules, types and functions are not entered."""
+    seen = {id(x) for x in skip}
+    found, stack = [], [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            stack.append(obj.base)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def _unique_bytes(arrays):
+    """Bytes of the buffers these arrays own; views count through their base."""
+    assert all(a.base is None or isinstance(a.base, np.ndarray) for a in arrays)
+    return sum(a.nbytes for a in arrays if a.base is None)
+
+
+def test_big_run_result_keeps_no_attention_map(tmp_path):
+    cfg = parse_config_text(
+        "run.seed = 5\nrun.mode = vidtldr\nrun.schedule = 48,48,48,48,48,48\n"
+        "clip.frames = 16\nclip.height = 112\nclip.width = 112\nmodel.width = 128\n"
+        f"out.dir = {tmp_path / 'out'}\n"
+    )
+    res = runner.run(cfg)
+    n0 = cfg.clip_spec().n_tokens
+    assert n0 == 392
+    entering = {n0} | {tr.tokens_out for tr in res.result.traces}
+    arrays = _reachable_arrays(res, skip=[res.clip.clip])
+    for a in arrays:
+        square = a.ndim >= 2 and a.shape[-1] == a.shape[-2]
+        assert not (square and a.shape[-1] in entering), a.shape
+    states = [tr.state_after for fwd in (res.clean, res.result) for tr in fwd.traces]
+    state_bytes = _unique_bytes(_reachable_arrays(tuple(states)))
+    assert _unique_bytes(arrays) <= state_bytes
+    # Both forwards' states come to 2.5 MB; each 392 x 392 float32
+    # head-mean map alone would add 0.6 MB.
+    assert state_bytes < 2.6e6
