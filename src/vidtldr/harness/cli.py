@@ -84,11 +84,7 @@ def _cmd_temporal_bias(args) -> int:
 def _cmd_dump_saliency(args) -> int:
     cfg = load_config(args.config)
     rows = []
-
-    def sink(layer, maps):
-        rows.append(saliency.masked_saliency_from_map(maps.head_mean_probs))
-
-    clean_forward(cfg, sink)
+    clean_forward(cfg, lambda layer, maps: rows.append(maps.masked_saliency))
     per_layer = np.stack(rows).astype(np.float32)
     out_dir = Path(cfg.out_dir) / cfg.run_id
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -144,9 +144,7 @@ class RunConfig:
             "prune-rollout": PruneReducer(
                 lambda state, maps, layer: state.tube_mean(rollout[layer]), reads_rollout=True
             ),
-            "prune-sharpness": PruneReducer(
-                lambda state, maps, layer: saliency.sharpness_saliency(maps.head_mean_probs)
-            ),
+            "prune-sharpness": PruneReducer(lambda state, maps, layer: maps.sharpness),
         }
 
     def clip_spec(self) -> ClipSpec:

@@ -73,7 +73,6 @@ from ..merging import TokenState
 from ..model import (
     ClipSpec,
     ForwardResult,
-    NullReducer,
     WeightStream,
     forward_clip,
     init_weights,
@@ -187,8 +186,7 @@ def clean_forward(cfg: RunConfig, sink=None) -> ForwardResult:
 
 def _clean_forward(cfg: RunConfig, synth: SynthClip, weights, sink) -> ForwardResult:
     return forward_clip(
-        synth.clip, cfg.clip_spec(), cfg.model_config(), weights, [], NullReducer(),
-        sink=sink,
+        synth.clip, cfg.clip_spec(), cfg.model_config(), weights, [], None, sink=sink
     )
 
 
@@ -215,9 +213,7 @@ def run(cfg: RunConfig) -> RunResult:
         def result_sink(layer, maps):
             if cfg.dump_attention:
                 dump_tensor(run_dir / f"attention_l{layer:02d}.vtdr", maps.probs)
-            mean_saliency.append(
-                float(saliency.masked_saliency_from_map(maps.head_mean_probs).mean())
-            )
+            mean_saliency.append(float(maps.masked_saliency.mean()))
 
         def clean_sink(layer, maps):
             head_means.append(maps.head_mean_probs)

@@ -31,6 +31,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -276,11 +277,25 @@ class AttentionMaps:
 
     attention_forward makes them, the layer's reducer reads them and
     forward_clip then hands them to its sink; no trace keeps them.
+    Its saliency is computed from the head mean on first read, once per
+    layer, and every reader shares that one array and must not write it.
+    Only the forward's thread reads it: on Python 3.11 a cached_property
+    holds one lock for all instances while it computes.
     """
 
     probs: np.ndarray            # (heads, n, n) float32, row-stochastic
     head_mean_probs: np.ndarray  # (n, n) float32, arithmetic mean over heads
     keys: np.ndarray             # (n, width) float32, heads concatenated
+
+    @cached_property
+    def sharpness(self) -> np.ndarray:
+        """saliency.sharpness_saliency of the head mean."""
+        return saliency.sharpness_saliency(self.head_mean_probs)
+
+    @cached_property
+    def masked_saliency(self) -> np.ndarray:
+        """saliency.masked_saliency of ``sharpness``: the vid-TLDR score."""
+        return saliency.masked_saliency(self.sharpness)
 
 
 def mean_frame_groups(state: merging.TokenState, tube_groups: np.ndarray) -> np.ndarray:
@@ -361,13 +376,6 @@ class Reducer(Protocol):
     ) -> merging.TokenState: ...
 
 
-class NullReducer:
-    """Reducer for the baseline mode; refuses to remove anything."""
-
-    def reduce(self, state, maps, r, layer):
-        raise RuntimeError("baseline forward must not request token reduction")
-
-
 class TomeReducer:
     """Plain bipartite soft matching with mass-weighted merging."""
 
@@ -385,10 +393,9 @@ class VidTldrReducer:
     merging = True
 
     def reduce(self, state, maps, r, layer):
-        scores = saliency.masked_saliency_from_map(maps.head_mean_probs)
         part = merging.bipartition(state.count)
         match = merging.soft_match(maps.keys, part, r)
-        masses = merging.vidtldr_mass_update(state, part, scores)
+        masses = merging.vidtldr_mass_update(state, part, maps.masked_saliency)
         return merging.vidtldr_merge(state, match, masses)
 
 
@@ -417,7 +424,6 @@ class LayerTrace:
 
 @dataclass(frozen=True)
 class ForwardResult:
-    spec: ClipSpec
     traces: tuple[LayerTrace, ...]
 
     @property
@@ -431,7 +437,7 @@ def forward_clip(
     cfg: ModelConfig,
     weights: ModelWeights,
     schedule: list[int],
-    reducer: Reducer,
+    reducer: Reducer | None,
     *,
     sink=None,
 ) -> ForwardResult:
@@ -441,12 +447,15 @@ def forward_clip(
     its MLP. costmodel.plan_schedule checks the schedule up front, with
     the floor(n/2) merge limit for a reducer whose ``merging`` is true.
     Proportional attention applies exactly when the reducer merges.
+    With no reducer, a nonzero schedule raises ValueError before the embed.
     The ``sink``, if given, is called as ``sink(layer, maps)`` with each
     layer's AttentionMaps, at the n tokens it took in, once that layer's
     wall time is taken. It is the maps' one exit: no trace keeps them.
     """
     merges = getattr(reducer, "merging", False)
     full = plan_schedule(spec.n_tokens, cfg.layers, schedule, merging=merges)
+    if reducer is None and any(full):
+        raise ValueError("a forward with no reducer cannot remove tokens")
     state = embed_clip(clip, spec, weights)
     tube_groups = spec.tube_frame_groups()
     traces = []
@@ -468,4 +477,4 @@ def forward_clip(
         )
         if sink is not None:
             sink(layer, maps)
-    return ForwardResult(spec=spec, traces=tuple(traces))
+    return ForwardResult(traces=tuple(traces))

@@ -4,8 +4,9 @@ Three per-token scores over a square, row-stochastic attention map:
 
 * attentiveness: column mean, how much attention a token receives.
 * rollout: column mean of the product of head-averaged maps from the
-  last layer down to each target layer, the classic relevance
-  propagation, from one chain of products P_l = P_{l+1} M_l.
+  last layer down to each target layer, from one chain of products
+  P_l = P_{l+1} M_l. It multiplies the raw head-mean maps, without
+  Abnar & Zuidema's residual term 0.5 * A + 0.5 * I.
 * sharpness saliency: min-max normalized negative row entropy, how
   focused a token's outgoing attention is. Background suppression
   zeroes tokens at or below the mean score and rescales the rest, and
@@ -54,7 +55,9 @@ def attention_rollout(per_layer_probs: Sequence[np.ndarray]) -> np.ndarray:
     layer of a no-reduction forward, in layer order. Returns a float64
     (layers, n) table whose row l is the column mean of P_l, where
     P_last is the last map and P_l = P_{l+1} M_l (the later layer on the
-    left). The last row equals ``attentiveness`` of the last map exactly.
+    left). The maps are the raw head means: no 0.5 * I residual term is
+    added as in Abnar & Zuidema's rollout. The last row equals
+    ``attentiveness`` of the last map exactly.
     """
     if len(per_layer_probs) == 0:
         raise ValueError("attention_rollout needs at least one map")
@@ -97,18 +100,16 @@ def background_mask(raw) -> tuple[np.ndarray, float]:
     return s > mean, mean
 
 
-def masked_saliency(raw, mask, mean: float) -> np.ndarray:
-    """Background-suppressed saliency, rescaled to peak at 1.
+def masked_saliency(raw) -> np.ndarray:
+    """Background-suppressed saliency of raw scores, rescaled to peak at 1.
 
-    Masked-out tokens get 0; the rest get (s - mean) / max over the
-    kept set. If the mask keeps nothing (all scores equal), every
-    token gets 1, which degrades saliency-aware merging to plain
-    mass-weighted merging.
+    background_mask cuts the scores at their mean. Masked-out tokens
+    get 0; the rest get (s - mean) / max over the kept set. If the mask
+    keeps nothing (all scores equal), every token gets 1, which
+    degrades saliency-aware merging to plain mass-weighted merging.
     """
     s = np.asarray(raw, dtype=np.float64).reshape(-1)
-    m = np.asarray(mask, dtype=bool).reshape(-1)
-    if s.shape != m.shape:
-        raise ValueError(f"masked_saliency shape mismatch: {s.shape} vs {m.shape}")
+    m, mean = background_mask(s)
     if not m.any():
         return np.ones_like(s)
     shifted = np.where(m, s - mean, 0.0)
@@ -119,10 +120,8 @@ def masked_saliency(raw, mask, mean: float) -> np.ndarray:
 
 
 def masked_saliency_from_map(head_mean_probs) -> np.ndarray:
-    """Full sharpness, mask and masked-saliency pipeline over one attention map."""
-    raw = sharpness_saliency(head_mean_probs)
-    mask, mean = background_mask(raw)
-    return masked_saliency(raw, mask, mean)
+    """Sharpness, then background mask and rescaling, over one attention map."""
+    return masked_saliency(sharpness_saliency(head_mean_probs))
 
 
 def frame_score_ratio(scores, frame_of, n_groups: int) -> np.ndarray:

@@ -20,7 +20,6 @@ from vidtldr.model import (
     ClipSpec,
     LayerWeights,
     ModelConfig,
-    NullReducer,
     PruneReducer,
     TomeReducer,
     attention_forward,
@@ -133,10 +132,9 @@ class RecordingVidTldrReducer:
         self.events = []
 
     def reduce(self, state, maps, r, layer):
-        scores = saliency.masked_saliency_from_map(maps.head_mean_probs)
         part = merging.bipartition(state.count)
         match = merging.soft_match(maps.keys, part, r)
-        masses = merging.vidtldr_mass_update(state, part, scores)
+        masses = merging.vidtldr_mass_update(state, part, maps.masked_saliency)
         out = merging.vidtldr_merge(state, match, masses)
         self.events.append((float(masses.sum()), float(out.masses.sum())))
         return out
@@ -343,7 +341,7 @@ def head_mean_maps(clip, cfg, weights):
     """Each layer's head-mean map of a no-reduction forward, from its sink."""
     maps = []
     forward_clip(
-        clip, DESK, cfg, weights, [], NullReducer(),
+        clip, DESK, cfg, weights, [], None,
         sink=lambda layer, m: maps.append(m.head_mean_probs),
     )
     return maps

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import erf
 
-from vidtldr import merging, model, numerics
+from vidtldr import merging, model, numerics, saliency
 from vidtldr.costmodel import InfeasibleScheduleError
 from vidtldr.model import ClipSpec, ModelConfig
 
@@ -422,7 +422,7 @@ def test_mlp_matches_hand_computation():
 
 def test_forward_zero_schedule_matches_trajectory():
     cfg, clip, weights = small_setup(23)
-    res = model.forward_clip(clip, SMALL, cfg, weights, [], model.NullReducer())
+    res = model.forward_clip(clip, SMALL, cfg, weights, [], None)
     assert [tr.tokens_out for tr in res.traces] == [8, 8, 8]
     assert res.final_state.count == 8
     merging.check_state(res.final_state, 8)
@@ -500,7 +500,7 @@ def assert_states_equal(a, b):
 
 
 SINK_CASES = [
-    ([], model.NullReducer()),
+    ([], None),
     ([2, 2], model.TomeReducer()),
     ([3, 1], model.VidTldrReducer()),
     ([4, 2, 1], model.PruneReducer(lambda state, maps, layer: state.masses)),
@@ -566,10 +566,35 @@ def test_traces_keep_no_maps():
     assert not hasattr(model.ForwardResult, "head_mean_maps")
 
 
-def test_null_reducer_refuses_reduction():
+def test_null_reducer_refuses_reduction(monkeypatch):
+    """With no reducer, a nonzero schedule is refused before the embed."""
     cfg, clip, weights = small_setup(43)
-    with pytest.raises(RuntimeError):
-        model.forward_clip(clip, SMALL, cfg, weights, [2], model.NullReducer())
+
+    def embed(*args):
+        raise AssertionError("embed_clip ran")
+
+    monkeypatch.setattr(model, "embed_clip", embed)
+    with pytest.raises(ValueError, match="no reducer"):
+        model.forward_clip(clip, SMALL, cfg, weights, [2], None)
+
+
+def test_maps_compute_their_saliency_once(monkeypatch):
+    cfg, clip, weights = small_setup(71)
+    maps = []
+    model.forward_clip(
+        clip, SMALL, cfg, weights, [], None, sink=lambda layer, m: maps.append(m)
+    )
+    calls = []
+    sharpness = saliency.sharpness_saliency
+    monkeypatch.setattr(
+        saliency, "sharpness_saliency", lambda p: calls.append(p) or sharpness(p)
+    )
+    for m in maps:
+        want = saliency.masked_saliency(sharpness(m.head_mean_probs))
+        assert m.masked_saliency.tobytes() == want.tobytes()
+        assert m.sharpness.tobytes() == sharpness(m.head_mean_probs).tobytes()
+        assert m.masked_saliency is m.masked_saliency and m.sharpness is m.sharpness
+    assert [p is m.head_mean_probs for p, m in zip(calls, maps)] == [True] * len(maps)
 
 
 def test_reducers_produce_expected_counts():

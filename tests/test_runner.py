@@ -220,7 +220,7 @@ def test_config_and_forward_clip_share_the_merge_limit(tmp_path, mode):
     except InvariantError as e:
         config_rejects = str(e).startswith("run.schedule:")  # not baseline's zero-schedule rule
     cfg = parse_config_text(text)
-    reducer = cfg.reducers(np.zeros((4, 16)))[mode] or model.NullReducer()
+    reducer = cfg.reducers(np.zeros((4, 16)))[mode]
     with runner._inputs(cfg, 0) as (synth, weights, _):
         try:
             model.forward_clip(
@@ -229,7 +229,7 @@ def test_config_and_forward_clip_share_the_merge_limit(tmp_path, mode):
             infeasible = False
         except costmodel.InfeasibleScheduleError:
             infeasible = True
-        except RuntimeError:  # NullReducer refuses to reduce once the plan is accepted
+        except ValueError:  # no reducer (baseline) refuses a nonzero schedule
             infeasible = False
     assert config_rejects == infeasible == (mode in ("tome", "vidtldr"))
 
@@ -582,7 +582,7 @@ def test_results_hold_no_per_head_tensors(tmp_path, monkeypatch, mode, dump, gat
     with runner._inputs(cfg, 0) as (synth, weights, _):
         direct = model.forward_clip(
             synth.clip, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
-            cfg.reducers(rollout)[mode] or model.NullReducer(),
+            cfg.reducers(rollout)[mode],
             sink=lambda layer, maps: dumped.append((layer, maps.probs)),
         )
     assert [p.name for p in dumps] == [f"attention_l{l:02d}.vtdr" for l in range(4)]
@@ -638,3 +638,19 @@ def test_big_run_result_keeps_no_attention_map(tmp_path):
     # Both forwards' states come to 2.5 MB; each 392 x 392 float32
     # head-mean map alone would add 0.6 MB.
     assert state_bytes < 2.6e6
+
+
+@pytest.mark.parametrize("mode", ["vidtldr", "prune-sharpness"])
+def test_each_layer_scores_its_saliency_once(tmp_path, monkeypatch, mode):
+    """A desk run computes sharpness once per result layer, for its
+    reducer and mean_saliency alike, and once for frame_ratio.csv."""
+    shapes = []
+    sharpness = saliency.sharpness_saliency
+    monkeypatch.setattr(
+        saliency, "sharpness_saliency", lambda p: shapes.append(p.shape) or sharpness(p)
+    )
+    runner.run(parse_config_text(
+        f"run.seed = 5\nrun.mode = {mode}\nrun.schedule = 8,8,8,8,8,8\n"
+        f"out.dir = {tmp_path / 'out'}\n"
+    ))
+    assert shapes == [(n, n) for n in (64, 56, 48, 40, 32, 24, 16, 16, 64)]

@@ -184,16 +184,12 @@ def test_background_mask_is_strict():
 
 
 def test_masked_saliency_hand_case():
-    raw = np.array([0.9, 0.8, 0.1, 0.2])
-    mask, mean = saliency.background_mask(raw)
-    out = saliency.masked_saliency(raw, mask, mean)
+    out = saliency.masked_saliency(np.array([0.9, 0.8, 0.1, 0.2]))
     assert_allclose(out, [1.0, 0.75, 0.0, 0.0], rtol=0, atol=1e-12)
 
 
 def test_masked_saliency_empty_mask_falls_back_to_ones():
-    raw = np.array([0.5, 0.5, 0.5, 0.5])
-    mask, mean = saliency.background_mask(raw)
-    out = saliency.masked_saliency(raw, mask, mean)
+    out = saliency.masked_saliency(np.array([0.5, 0.5, 0.5, 0.5]))
     assert_array_equal(out, np.ones(4))
 
 
@@ -202,8 +198,7 @@ def test_masked_saliency_never_resurrects():
     for _ in range(20):
         masked = saliency.masked_saliency_from_map(random_stochastic(rng, 10))
         zeroed = masked == 0.0
-        mask2, mean2 = saliency.background_mask(masked)
-        remasked = saliency.masked_saliency(masked, mask2, mean2)
+        remasked = saliency.masked_saliency(masked)
         assert (remasked[zeroed] == 0.0).all()
 
 
