@@ -54,23 +54,11 @@ def mlp_flops(n: int, width: int) -> int:
     return 2 * MLP_RATIO * n * width * width
 
 
-def layer_flops(n: int, cfg: CostConfig) -> int:
-    """FLOPs for one full encoder layer at a constant n tokens.
-
-    With MLP_RATIO = 4 this is 12*n*C^2 + 2*n^2*C.
-    """
-    return attention_flops(n, cfg.width) + mlp_flops(n, cfg.width)
-
-
 @dataclass(frozen=True)
 class CostReport:
     per_layer_flops: tuple[int, ...]
     total_flops: int
     token_trajectory: tuple[int, ...]  # token count at the end of each layer
-
-    @property
-    def final_tokens(self) -> int:
-        return self.token_trajectory[-1]
 
 
 def plan_schedule(n0: int, layers: int, schedule, merging: bool = False) -> list[int]:

@@ -2,7 +2,7 @@
 
 from .clips import SynthClip, synth_clip
 from .config import ConfigError, InvariantError, RunConfig, load_config, parse_config_text
-from .runner import RunResult, compare, compute_frame_ratios, pooled_features, run
+from .runner import RunResult, compare, pooled_features, run
 from .tensorio import dump_tensor, load_tensor
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "RunResult",
     "SynthClip",
     "compare",
-    "compute_frame_ratios",
     "dump_tensor",
     "load_config",
     "load_tensor",

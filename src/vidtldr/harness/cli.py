@@ -21,14 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import costmodel, saliency
+from .. import costmodel
 from .config import ConfigError, InvariantError, load_config
 from .runner import (
     RATIO_HEADER,
     ArtifactError,
     clean_forward,
     compare,
-    compute_frame_ratios,
     run,
     write_frame_ratios,
 )
@@ -67,10 +66,7 @@ def _cmd_flops(args) -> int:
 
 def _cmd_temporal_bias(args) -> int:
     cfg = load_config(args.config)
-    head_means = []
-    clean_forward(cfg, lambda layer, maps: head_means.append(maps.head_mean_probs))
-    rollout = saliency.attention_rollout(head_means)
-    ratios = compute_frame_ratios(cfg.clip_spec(), head_means, rollout)
+    _, _, ratios = clean_forward(cfg)
     out_dir = Path(cfg.out_dir) / cfg.run_id
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "frame_ratio.csv"

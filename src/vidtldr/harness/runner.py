@@ -1,9 +1,9 @@
 """Run orchestration: wires clips, model, reduction, costs, and CSV output.
 
 Each run derives two child seeds from run.seed (clip voxels, model
-weights), executes one no-reduction forward (the reference for rollout
-scores and the frame-ratio table) plus the mode's forward, and writes
-its artifacts under <out.dir>/<run_id>/:
+weights), executes one no-reduction forward (the clean reference: its
+rollout scores and the frame-ratio table) plus the mode's forward, and
+writes its artifacts under <out.dir>/<run_id>/:
 
     config.txt       effective config, canonical form (the run_id hash input)
     metrics.csv      one row per layer: counts, FLOPs, saliency, wall time
@@ -46,13 +46,14 @@ write there is joined, so <run_id>/ is either complete or as an earlier
 run left it.
 
 Each layer's attention maps leave forward_clip only through its sink.
-The clean forward's sink keeps the head means, for the rollout and
-frame_ratio.csv, until run returns. The result forward's sink writes
-the layer's probs into the hidden directory with dump.attention and
-takes its metrics.csv mean_saliency, so its maps die with the layer;
-on an overlapped run that work is the worker thread's. Of the two
-forwards, a RunResult keeps only their traces (token counts, states and
-wall times), and no n x n map.
+_clean_reference's sink keeps the clean forward's head means for the
+rollout and scores its layer 0 for frame_ratio.csv, then hands the maps
+on: on a baseline run, whose clean forward is its result, to the result
+sink. That sink writes the layer's probs into the hidden directory with
+dump.attention and takes its metrics.csv mean_saliency, so its maps die
+with the layer; on an overlapped run that work is the worker thread's.
+Of the two forwards, a RunResult keeps only their traces (token counts,
+states and wall times), and no n x n map.
 """
 
 from __future__ import annotations
@@ -70,13 +71,7 @@ import numpy as np
 
 from .. import costmodel, numerics, saliency
 from ..merging import TokenState
-from ..model import (
-    ClipSpec,
-    ForwardResult,
-    WeightStream,
-    forward_clip,
-    init_weights,
-)
+from ..model import ForwardResult, WeightStream, forward_clip, init_weights
 from .clips import SynthClip, synth_clip
 from .config import CLIP_IDENTITY, ConfigError, InvariantError, RunConfig, load_config
 from .tensorio import dump_tensor, load_tensor
@@ -122,30 +117,8 @@ class RunResult:
         return self.result.final_state
 
 
-def compute_frame_ratios(
-    spec: ClipSpec, head_means: list[np.ndarray], rollout: np.ndarray
-) -> np.ndarray:
-    """Per-frame ratios of the three estimators at the first layer.
-
-    ``head_means`` are the no-reduction forward's head-mean maps, in
-    layer order, and ``rollout`` their ``attention_rollout`` table.
-    Returns an (n_groups, 3) array: attentiveness, rollout (row 0 of
-    the table, from layer 0 through the last), and masked sharpness
-    saliency.
-    """
-    first = head_means[0]
-    frame_of = spec.tube_frame_groups()
-    g = spec.n_groups
-    cols = [
-        saliency.frame_score_ratio(saliency.attentiveness(first), frame_of, g),
-        saliency.frame_score_ratio(rollout[0], frame_of, g),
-        saliency.frame_score_ratio(saliency.masked_saliency_from_map(first), frame_of, g),
-    ]
-    return np.stack(cols, axis=1)
-
-
 def write_frame_ratios(path: Path, ratios: np.ndarray) -> None:
-    """Write compute_frame_ratios' table as frame_ratio.csv."""
+    """Write the (n_groups, 3) table of _clean_reference as frame_ratio.csv."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(RATIO_HEADER)
@@ -177,17 +150,44 @@ def _inputs(cfg: RunConfig, macs: int):
     drawing.result()
 
 
-def clean_forward(cfg: RunConfig, sink=None) -> ForwardResult:
-    """A run's no-reduction forward; ``sink`` is forward_clip's."""
+def clean_forward(cfg: RunConfig, sink=None):
+    """A run's clean reference: _clean_reference on its own clip and weights."""
     macs = costmodel.schedule_flops(cfg.cost_config(), []).total_flops
     with _inputs(cfg, macs) as (synth, weights, _):
-        return _clean_forward(cfg, synth, weights, sink)
+        return _clean_reference(cfg, synth, weights, sink)
 
 
-def _clean_forward(cfg: RunConfig, synth: SynthClip, weights, sink) -> ForwardResult:
-    return forward_clip(
-        synth.clip, cfg.clip_spec(), cfg.model_config(), weights, [], None, sink=sink
+def _clean_reference(
+    cfg: RunConfig, synth: SynthClip, weights, sink=None
+) -> tuple[ForwardResult, np.ndarray, np.ndarray]:
+    """The no-reduction forward, its rollout table and its frame ratios.
+
+    Returns the forward's result, the attention_rollout table of its
+    head means, and an (n_groups, 3) table of per-frame ratios at the
+    first layer: attentiveness, rollout (row 0 of the table, from layer
+    0 through the last) and masked sharpness saliency. Each layer's maps
+    go on to ``sink``, as forward_clip's, once these reads are done.
+    """
+    spec = cfg.clip_spec()
+    head_means, masked = [], []
+
+    def reference_sink(layer, maps):
+        head_means.append(maps.head_mean_probs)
+        if layer == 0:
+            masked.append(maps.masked_saliency)
+        if sink is not None:
+            sink(layer, maps)
+
+    clean = forward_clip(
+        synth.clip, spec, cfg.model_config(), weights, [], None, sink=reference_sink
     )
+    rollout = saliency.attention_rollout(head_means)
+    frame_of = spec.tube_frame_groups()
+    ratios = np.stack([
+        saliency.frame_score_ratio(s, frame_of, spec.n_groups)
+        for s in (saliency.attentiveness(head_means[0]), rollout[0], masked[0])
+    ], axis=1)
+    return clean, rollout, ratios
 
 
 def _usable_cpus() -> int:
@@ -207,7 +207,7 @@ def run(cfg: RunConfig) -> RunResult:
     run_dir = staging / cfg.run_id
     try:
         run_dir.mkdir()
-        head_means, mean_saliency = [], []
+        mean_saliency = []
 
         # The run's result is the reduced forward, or baseline's clean one.
         def result_sink(layer, maps):
@@ -215,16 +215,7 @@ def run(cfg: RunConfig) -> RunResult:
                 dump_tensor(run_dir / f"attention_l{layer:02d}.vtdr", maps.probs)
             mean_saliency.append(float(maps.masked_saliency.mean()))
 
-        def clean_sink(layer, maps):
-            head_means.append(maps.head_mean_probs)
-            if reducer is None:
-                result_sink(layer, maps)
-
         with _inputs(cfg, cost.total_flops) as (synth, weights, pool):
-
-            def clean_and_rollout():
-                clean = _clean_forward(cfg, synth, weights, clean_sink)
-                return clean, saliency.attention_rollout(head_means)
 
             def reduced(by):
                 return forward_clip(
@@ -233,11 +224,13 @@ def run(cfg: RunConfig) -> RunResult:
                 )
 
             if pool is None or reducer is None or getattr(reducer, "reads_rollout", False):
-                clean, rollout = clean_and_rollout()
+                clean, rollout, ratios = _clean_reference(
+                    cfg, synth, weights, result_sink if reducer is None else None
+                )
                 result = clean if reducer is None else reduced(cfg.reducers(rollout)[cfg.mode])
             else:
                 pending = pool.submit(reduced, reducer)
-                clean, rollout = clean_and_rollout()
+                clean, _, ratios = _clean_reference(cfg, synth, weights)
                 result = pending.result()
 
         observed = tuple(tr.tokens_out for tr in result.traces)
@@ -246,7 +239,6 @@ def run(cfg: RunConfig) -> RunResult:
                 f"forward token trajectory {observed} diverged from cost model "
                 f"{cost.token_trajectory}"
             )
-        ratios = compute_frame_ratios(cfg.clip_spec(), head_means, rollout)
         _write_artifacts(run_dir, cfg, cost, ratios, mean_saliency, result)
         try:  # move an earlier run's directory aside; the rmtree below removes it
             out_dir.rename(staging / "replaced")

@@ -119,11 +119,6 @@ def masked_saliency(raw) -> np.ndarray:
     return shifted / peak
 
 
-def masked_saliency_from_map(head_mean_probs) -> np.ndarray:
-    """Sharpness, then background mask and rescaling, over one attention map."""
-    return masked_saliency(sharpness_saliency(head_mean_probs))
-
-
 def frame_score_ratio(scores, frame_of, n_groups: int) -> np.ndarray:
     """Fraction of total score falling in each frame group.
 

@@ -19,8 +19,9 @@ call starts a thread), and checks that each path took the threads the
 gate asks for and produced the table in golden_sweep.json.
 
 Not collected by pytest: both gates over both seeds take about a
-minute. ``test_golden.py`` runs one seed of the big set. Run it from
-the repo root with
+minute. ``test_golden.py`` runs the first seed of the big set with the
+gate open and of the desk set with it closed. Run it from the repo
+root with
 
     PYTHONPATH=src python tests/golden_sweep.py            # check; exit 1 on a moved digest
     PYTHONPATH=src python tests/golden_sweep.py --record   # rewrite golden_sweep.json
@@ -117,7 +118,8 @@ def sweep(open_: bool, seeds=SEEDS, shapes=tuple(SHAPES)) -> dict[str, str]:
                 out[f"{name}/{path.name}"] = _digest(path)
             out.update(_state_digests(f"{name}/run.clean", res.clean.final_state))
             out.update(_state_digests(f"{name}/run.result", res.final_state))
-            out.update(_state_digests(f"{name}/clean_forward", runner.clean_forward(cfg).final_state))
+            clean, _, _ = runner.clean_forward(cfg)
+            out.update(_state_digests(f"{name}/clean_forward", clean.final_state))
             calls += 2
     if len(started) != (calls if open_ else 0):
         raise AssertionError(f"gate {'open' if open_ else 'closed'}: "

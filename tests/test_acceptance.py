@@ -355,7 +355,7 @@ def test_criterion_08_foreground_discrimination(capsys):
         synth = synth_clip(DESK, clip_seed, "moving-blob")
         weights = init_weights(cfg, DESK, weight_seed)
         maps = head_mean_maps(synth.clip, cfg, weights)
-        shat = saliency.masked_saliency_from_map(maps[1])
+        shat = saliency.masked_saliency(saliency.sharpness_saliency(maps[1]))
         fg = np.zeros(DESK.n_tokens, dtype=bool)
         fg[list(synth.foreground)] = True
         margins.append(float(shat[fg].mean() - shat[~fg].mean()))
@@ -382,9 +382,8 @@ def test_criterion_09_temporal_bias_mitigation(capsys):
         ra = saliency.frame_score_ratio(
             saliency.attentiveness(first), frame_of, DESK.n_groups
         )
-        rs = saliency.frame_score_ratio(
-            saliency.masked_saliency_from_map(first), frame_of, DESK.n_groups
-        )
+        masked = saliency.masked_saliency(saliency.sharpness_saliency(first))
+        rs = saliency.frame_score_ratio(masked, frame_of, DESK.n_groups)
         gaps.append(float(np.std(ra) - np.std(rs)))
     gaps = np.array(gaps)
     wins = int((gaps > 0).sum())

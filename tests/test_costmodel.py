@@ -22,20 +22,23 @@ def oracle_schedule_total(n0, width, layers, ratio, schedule):
     return total
 
 
+def layer_flops(n, width):
+    """FLOPs of one unreduced layer at n tokens, from schedule_flops."""
+    cfg = CostConfig(n0=n, width=width, layers=1)
+    return costmodel.schedule_flops(cfg, []).per_layer_flops[0]
+
+
 def test_layer_flops_unit_case():
-    cfg = CostConfig(n0=1, width=1, layers=1)
-    assert costmodel.layer_flops(1, cfg) == 14
+    assert layer_flops(1, 1) == 14
 
 
 def test_layer_flops_formula():
-    cfg = CostConfig(n0=16, width=32, layers=2)
     n, c = 16, 32
-    assert costmodel.layer_flops(n, cfg) == 12 * n * c * c + 2 * n * n * c
+    assert layer_flops(n, c) == 12 * n * c * c + 2 * n * n * c
 
 
 def test_layer_flops_superlinear_in_n():
-    cfg = CostConfig(n0=64, width=128, layers=1)
-    assert costmodel.layer_flops(64, cfg) > 2 * costmodel.layer_flops(32, cfg)
+    assert layer_flops(64, 128) > 2 * layer_flops(32, 128)
 
 
 def test_attention_and_mlp_flops_reject_bad_dims():
@@ -50,16 +53,16 @@ def test_attention_and_mlp_flops_reject_bad_dims():
 def test_zero_schedule_is_layerwise_constant():
     cfg = CostConfig(n0=196, width=384, layers=12)
     report = costmodel.schedule_flops(cfg, [])
-    assert report.total_flops == 12 * costmodel.layer_flops(196, cfg)
+    assert report.total_flops == 12 * layer_flops(196, 384)
     assert report.token_trajectory == (196,) * 12
-    assert report.final_tokens == 196
+    assert report.token_trajectory[-1] == 196
 
 
 def test_schedule_trajectory_hand_case():
     cfg = CostConfig(n0=8, width=4, layers=5)
     report = costmodel.schedule_flops(cfg, [2, 2])
     assert report.token_trajectory == (6, 4, 4, 4, 4)
-    assert report.final_tokens == 4
+    assert report.token_trajectory[-1] == 4
     assert sum(report.per_layer_flops) == report.total_flops
 
 
@@ -121,7 +124,7 @@ def test_schedule_validation():
         costmodel.schedule_flops(cfg, [8, 8])
     # exactly one token left is still feasible
     report = costmodel.schedule_flops(cfg, [8, 7])
-    assert report.final_tokens == 1
+    assert report.token_trajectory[-1] == 1
 
 
 def test_more_reduction_never_costs_more():

@@ -22,8 +22,9 @@ they do not.
 
 The golden shapes have at most 64 tokens. ``golden_sweep.py`` digests
 the 392-token shape as well, over two seeds and with the thread gate
-forced each way; one test here runs its first seed's big set on the
-concurrent path against its table, golden_sweep.json.
+forced each way. Two tests here check its first seed against its table,
+golden_sweep.json: the big set on the concurrent path, and the desk set
+on the serial path.
 
 Regenerate the table (only for an intended output change) with
 
@@ -149,14 +150,26 @@ def test_digests_hold_on_the_concurrent_path(tmp_path, monkeypatch):
     assert len(submitted) == 36
 
 
-def test_big_sweep_holds_on_the_concurrent_path(tmp_path, monkeypatch):
+def _check_sweep_set(open_: bool, shape: str) -> None:
+    """golden_sweep's first seed at one shape, with the gate forced open
+    or closed, against its table."""
     import golden_sweep  # imports this module's _digest, so not at the top
 
-    monkeypatch.chdir(tmp_path)
     expected = json.loads(golden_sweep.TABLE.read_text())
-    got = golden_sweep.sweep(True, seeds=golden_sweep.SEEDS[:1], shapes=("big",))
-    assert len(got) == 2 * len(MODES) * 24  # 15 artifacts and 9 state arrays per run
+    got = golden_sweep.sweep(open_, seeds=golden_sweep.SEEDS[:1], shapes=(shape,))
+    patterns = golden_sweep.SHAPES[shape][2]
+    assert len(got) == len(patterns) * len(MODES) * 24  # 15 artifacts and 9 state arrays per run
     assert got == {k: expected.get(k) for k in got}
+
+
+def test_big_sweep_holds_on_the_concurrent_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _check_sweep_set(True, "big")
+
+
+def test_desk_sweep_holds_on_the_serial_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _check_sweep_set(False, "desk")
 
 
 def _python(env, cwd, *args) -> str:

@@ -234,20 +234,10 @@ def test_config_and_forward_clip_share_the_merge_limit(tmp_path, mode):
     assert config_rejects == infeasible == (mode in ("tome", "vidtldr"))
 
 
-def clean_head_means(cfg):
-    """The clean forward's head-mean maps, collected through its sink."""
-    head_means = []
-    runner.clean_forward(cfg, lambda layer, maps: head_means.append(maps.head_mean_probs))
-    return head_means
-
-
 def test_compute_frame_ratios_shape(tmp_path):
     cfg = make_cfg(tmp_path, mode="baseline", schedule="")
     res = runner.run(cfg)
-    head_means = clean_head_means(cfg)
-    ratios = runner.compute_frame_ratios(
-        cfg.clip_spec(), head_means, saliency.attention_rollout(head_means)
-    )
+    _, _, ratios = runner.clean_forward(cfg)
     assert ratios.shape == (2, 3)
     assert np.allclose(ratios.sum(axis=0), 1.0, atol=1e-9)
     runner.write_frame_ratios(tmp_path / "ratios.csv", ratios)
@@ -577,7 +567,7 @@ def test_results_hold_no_per_head_tensors(tmp_path, monkeypatch, mode, dump, gat
     if not dump:
         assert dumps == []
         return
-    rollout = saliency.attention_rollout(clean_head_means(cfg))
+    _, rollout, _ = runner.clean_forward(cfg)
     dumped = []
     with runner._inputs(cfg, 0) as (synth, weights, _):
         direct = model.forward_clip(
@@ -640,17 +630,28 @@ def test_big_run_result_keeps_no_attention_map(tmp_path):
     assert state_bytes < 2.6e6
 
 
-@pytest.mark.parametrize("mode", ["vidtldr", "prune-sharpness"])
+SHARPNESS_CALLS = {
+    # serial desk path: the clean layer 0 (frame_ratio.csv), then the
+    # reduced forward's layers; baseline's clean forward is its result
+    "vidtldr": (64, 64, 56, 48, 40, 32, 24, 16, 16),
+    "prune-sharpness": (64, 64, 56, 48, 40, 32, 24, 16, 16),
+    "baseline": (64,) * 8,
+}
+
+
+@pytest.mark.parametrize("mode", list(SHARPNESS_CALLS))
 def test_each_layer_scores_its_saliency_once(tmp_path, monkeypatch, mode):
     """A desk run computes sharpness once per result layer, for its
-    reducer and mean_saliency alike, and once for frame_ratio.csv."""
+    reducer and mean_saliency alike, and once for frame_ratio.csv
+    unless its clean forward is its result."""
     shapes = []
     sharpness = saliency.sharpness_saliency
     monkeypatch.setattr(
         saliency, "sharpness_saliency", lambda p: shapes.append(p.shape) or sharpness(p)
     )
     runner.run(parse_config_text(
-        f"run.seed = 5\nrun.mode = {mode}\nrun.schedule = 8,8,8,8,8,8\n"
+        f"run.seed = 5\nrun.mode = {mode}\n"
+        f"run.schedule = {'' if mode == 'baseline' else '8,8,8,8,8,8'}\n"
         f"out.dir = {tmp_path / 'out'}\n"
     ))
-    assert shapes == [(n, n) for n in (64, 56, 48, 40, 32, 24, 16, 16, 64)]
+    assert shapes == [(n, n) for n in SHARPNESS_CALLS[mode]]

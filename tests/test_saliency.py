@@ -196,7 +196,8 @@ def test_masked_saliency_empty_mask_falls_back_to_ones():
 def test_masked_saliency_never_resurrects():
     rng = numerics.make_rng(17)
     for _ in range(20):
-        masked = saliency.masked_saliency_from_map(random_stochastic(rng, 10))
+        raw = saliency.sharpness_saliency(random_stochastic(rng, 10))
+        masked = saliency.masked_saliency(raw)
         zeroed = masked == 0.0
         remasked = saliency.masked_saliency(masked)
         assert (remasked[zeroed] == 0.0).all()
@@ -208,7 +209,7 @@ def test_score_map_invariants():
         probs = random_stochastic(rng, 9)
         raw = saliency.sharpness_saliency(probs)
         mask, _ = saliency.background_mask(raw)
-        masked = saliency.masked_saliency_from_map(probs)
+        masked = saliency.masked_saliency(saliency.sharpness_saliency(probs))
         assert raw.min() == 0.0
         assert raw.max() == 1.0
         assert (masked[~mask] == 0.0).all()
