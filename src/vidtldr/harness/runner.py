@@ -52,8 +52,8 @@ on: on a baseline run, whose clean forward is its result, to the result
 sink. That sink writes the layer's probs into the hidden directory with
 dump.attention and takes its metrics.csv mean_saliency, so its maps die
 with the layer; on an overlapped run that work is the worker thread's.
-Of the two forwards, a RunResult keeps only their traces (token counts,
-states and wall times), and no n x n map.
+Of the two forwards, a RunResult keeps only their traces (each layer's
+token count and wall time, and the final state), and no n x n map.
 """
 
 from __future__ import annotations

@@ -414,16 +414,19 @@ class PruneReducer:
 @dataclass(frozen=True)
 class LayerTrace:
     """What one layer leaves behind once it is done: its token count
-    out, the state after it and its wall time. Its attention maps go
-    only to forward_clip's sink."""
+    out, its wall time and, for the last layer only, the state after it
+    (None for every earlier layer). Its attention maps go only to
+    forward_clip's sink."""
 
     tokens_out: int
-    state_after: merging.TokenState
+    state_after: merging.TokenState | None
     wall_ms: float
 
 
 @dataclass(frozen=True)
 class ForwardResult:
+    """A forward's per-layer traces; only the last one keeps a state."""
+
     traces: tuple[LayerTrace, ...]
 
     @property
@@ -450,7 +453,9 @@ def forward_clip(
     With no reducer, a nonzero schedule raises ValueError before the embed.
     The ``sink``, if given, is called as ``sink(layer, maps)`` with each
     layer's AttentionMaps, at the n tokens it took in, once that layer's
-    wall time is taken. It is the maps' one exit: no trace keeps them.
+    wall time is taken. It is the maps' one exit and their one lifetime:
+    no trace keeps them, and the forward lets go of them when the sink
+    returns, before the next layer's attention.
     """
     merges = getattr(reducer, "merging", False)
     full = plan_schedule(spec.n_tokens, cfg.layers, schedule, merging=merges)
@@ -471,10 +476,11 @@ def forward_clip(
         traces.append(
             LayerTrace(
                 tokens_out=state.count,
-                state_after=state,
+                state_after=state if layer == len(full) - 1 else None,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
         if sink is not None:
             sink(layer, maps)
+        del maps
     return ForwardResult(traces=tuple(traces))

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -462,11 +463,13 @@ def test_forward_infeasible_schedule():
         model.forward_clip(clip, SMALL, cfg, weights, [1] * 4, model.TomeReducer())
 
 
-def test_forward_deterministic():
+def test_forward_deterministic(monkeypatch):
     cfg, clip, weights = small_setup(41)
 
     def forward(**kw):
-        return model.forward_clip(clip, SMALL, cfg, weights, [2], model.VidTldrReducer(), **kw)
+        return recorded_forward(
+            monkeypatch, clip, SMALL, cfg, weights, [2], model.VidTldrReducer(), **kw
+        )
 
     seen = ([], [])
     a = forward(sink=lambda layer, maps: seen[0].append((layer, maps)))
@@ -476,7 +479,7 @@ def test_forward_deterministic():
         assert_states_equal(a, other)
     for sink in seen:  # once per layer, in layer order
         assert [layer for layer, _ in sink] == list(range(cfg.layers))
-    for n, (_, ma), (_, mb) in zip(entering_counts(a), *seen):
+    for n, (_, ma), (_, mb) in zip(entering_counts(a.result), *seen):
         assert ma.probs.shape == (cfg.heads, n, n)
         for field in ("probs", "head_mean_probs", "keys"):
             assert_array_equal(getattr(ma, field), getattr(mb, field))
@@ -490,13 +493,55 @@ def entering_counts(res):
     return [SMALL.n_tokens] + [tr.tokens_out for tr in res.traces[:-1]]
 
 
-def assert_states_equal(a, b):
-    """Two forwards left the same bits at every layer."""
-    assert [tr.tokens_out for tr in a.traces] == [tr.tokens_out for tr in b.traces]
-    for ta, tb in zip(a.traces, b.traces):
-        for field in ("features", "masses", "owner"):
-            x, y = getattr(ta.state_after, field), getattr(tb.state_after, field)
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+@dataclasses.dataclass
+class Recorded:
+    """A forward's result, each layer's output features and the state
+    after each of its reductions."""
+
+    result: model.ForwardResult
+    outputs: list
+    reduced: list
+
+
+def recorded_forward(monkeypatch, *args, **kw) -> Recorded:
+    """forward_clip, recording what mlp_forward returns at every layer and
+    each reduced state that check_state sees. The traces keep only the
+    final state, so this is how a test reads every layer's bits."""
+    outputs, reduced = [], []
+    mlp, check = model.mlp_forward, merging.check_state
+
+    def mlp_recorder(features, lw):
+        outputs.append(mlp(features, lw))
+        return outputs[-1]
+
+    def check_recorder(state, n_tubes):
+        reduced.append(state)
+        check(state, n_tubes)
+
+    with monkeypatch.context() as m:
+        m.setattr(model, "mlp_forward", mlp_recorder)
+        m.setattr(merging, "check_state", check_recorder)
+        return Recorded(model.forward_clip(*args, **kw), outputs, reduced)
+
+
+def assert_same_bits(x, y):
+    assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_states_equal(a: Recorded, b: Recorded):
+    """Two forwards left the same bits at every layer: each layer's output
+    features, the masses and owner map after each reduction (a layer that
+    reduces nothing keeps its input's), and the whole final state."""
+    assert [tr.tokens_out for tr in a.result.traces] == [tr.tokens_out for tr in b.result.traces]
+    assert len(a.outputs) == len(b.outputs) == len(a.result.traces)
+    for x, y in zip(a.outputs, b.outputs):
+        assert_same_bits(x, y)
+    assert len(a.reduced) == len(b.reduced)
+    for sa, sb in zip(a.reduced, b.reduced):
+        for field in ("masses", "owner"):
+            assert_same_bits(getattr(sa, field), getattr(sb, field))
+    for field in ("features", "masses", "owner"):
+        assert_same_bits(getattr(a.result.final_state, field), getattr(b.result.final_state, field))
 
 
 SINK_CASES = [
@@ -526,13 +571,40 @@ def test_sink_gets_each_layer_once_at_its_entering_count(schedule, reducer):
 
 
 @pytest.mark.parametrize("schedule, reducer", SINK_CASES)
-def test_forward_is_bit_identical_with_and_without_a_sink(schedule, reducer):
+def test_forward_is_bit_identical_with_and_without_a_sink(monkeypatch, schedule, reducer):
     cfg, clip, weights = small_setup(59)
-    plain = model.forward_clip(clip, SMALL, cfg, weights, schedule, reducer)
-    sunk = model.forward_clip(
-        clip, SMALL, cfg, weights, schedule, reducer, sink=lambda layer, maps: None
-    )
+    args = (clip, SMALL, cfg, weights, schedule, reducer)
+    plain = recorded_forward(monkeypatch, *args)
+    sunk = recorded_forward(monkeypatch, *args, sink=lambda layer, maps: None)
     assert_states_equal(plain, sunk)
+
+
+@pytest.mark.parametrize("schedule, reducer", SINK_CASES)
+def test_only_the_last_trace_keeps_a_state(schedule, reducer):
+    cfg, clip, weights = small_setup(73)
+    res = model.forward_clip(clip, SMALL, cfg, weights, schedule, reducer)
+    assert [tr.state_after is None for tr in res.traces] == [True] * (cfg.layers - 1) + [False]
+    assert res.final_state is res.traces[-1].state_after
+    assert res.final_state.count == res.traces[-1].tokens_out
+
+
+@pytest.mark.parametrize("schedule, reducer", SINK_CASES)
+def test_a_layers_maps_are_freed_before_the_next_attention(monkeypatch, schedule, reducer):
+    cfg, clip, weights = small_setup(79)
+    probs = []
+    attention = model.attention_forward
+
+    def checked_attention(*args):
+        alive = [layer for layer, ref in enumerate(probs) if ref() is not None]
+        assert alive == [], f"maps of layers {alive} outlive their sink"
+        return attention(*args)
+
+    monkeypatch.setattr(model, "attention_forward", checked_attention)
+    model.forward_clip(
+        clip, SMALL, cfg, weights, schedule, reducer,
+        sink=lambda layer, maps: probs.append(weakref.ref(maps.probs)),
+    )
+    assert len(probs) == cfg.layers
 
 
 def test_sink_runs_after_the_layer_wall_time():

@@ -1,8 +1,12 @@
-"""perfbench's tracer names the program's functions from outside the
-package; a name that no longer resolves would make its metric read 0."""
+"""perfbench reads the program from outside the package: its tracer names
+functions, and its checks read the fields of a RunResult. A name or a
+field that no longer resolves would make a metric read 0 or a check fail."""
 
 import importlib
 from pathlib import Path
+
+from vidtldr.harness import config, runner
+from vidtldr.merging import TokenState
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -20,3 +24,24 @@ def test_traced_functions_exist(monkeypatch):
         fn = getattr(importlib.import_module(modname), attr, None)
         assert not attr.startswith("_") and callable(fn) and not isinstance(fn, type), name
         assert fn.__module__ == modname, name
+
+
+def test_checks_accept_every_desk_mode(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # as perfbench/run.py imports them
+    checks = importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
+    groups = [
+        g for g in workloads.desk_sweep(1, tmp_path / "runs")
+        if g.runs[0].pattern == "moving-blob"
+    ]
+    (paths,) = workloads.write_configs(groups, tmp_path / "configs")
+    assert [spec.mode for spec in groups[0].runs] == list(workloads.MODES)
+    results = []
+    for spec, path in zip(groups[0].runs, paths):
+        res = runner.run(config.load_config(path))
+        assert checks.check_run(res) == [], spec.name
+        for fwd in (res.result, res.clean):
+            assert isinstance(fwd.traces[-1].state_after, TokenState), spec.name
+        results.append(res)
+    header, rows = runner.compare([res.out_dir for res in results])
+    assert checks.check_compare(header, rows, results) == []
