@@ -1,4 +1,4 @@
-"""Synthetic clip generators with ground-truth foreground bookkeeping.
+"""Synthetic clip recipes with ground-truth foreground bookkeeping.
 
 Three patterns, all deterministic in the seed:
 
@@ -11,8 +11,13 @@ Three patterns, all deterministic in the seed:
   amplitude decaying linearly over frame groups, so the object is
   most prominent in the early frames but present throughout.
 
-The returned foreground set lists the tube indices the blob covers,
-the ground truth that saliency scores are evaluated against.
+A SynthClip is a clip's recipe: its spec, seed and pattern. Its
+foreground lists the tube indices the blob covers, the ground truth
+that saliency scores are evaluated against; the spec and the pattern
+alone place the blob, so no random draw reaches it. ``voxels()`` builds
+the voxel array from the seed, with the same draws in the same order
+on every call. A run builds it once for its forwards and keeps only
+the recipe.
 """
 
 from __future__ import annotations
@@ -32,60 +37,76 @@ FRONT_DECAY_END = 0.65
 
 @dataclass(frozen=True)
 class SynthClip:
-    clip: np.ndarray             # (frames, height, width, channels) float32, read-only
-    foreground: tuple[int, ...]  # tube indices covered by the blob
+    spec: ClipSpec
+    seed: int
+    pattern: str  # noise, moving-blob or front-loaded
+
+    def __post_init__(self):
+        _placements(self.spec, self.pattern)  # an unknown pattern raises here
+
+    @property
+    def foreground(self) -> tuple[int, ...]:
+        """Tube indices covered by the blob, frame group by frame group."""
+        spec = self.spec
+        bp = _blob_side(spec)
+        per_group = spec.grid_h * spec.grid_w
+        return tuple(
+            g * per_group + r * spec.grid_w + c
+            for g, (row, col, _) in enumerate(_placements(spec, self.pattern))
+            for r in range(row, row + bp)
+            for c in range(col, col + bp)
+        )
+
+    def voxels(self) -> np.ndarray:
+        """The (frames, height, width, channels) float32 voxels, read-only."""
+        spec = self.spec
+        rng = numerics.make_rng(self.seed)
+        clip = rng.normal(0.0, 1.0, size=(spec.frames, spec.height, spec.width, spec.channels))
+        placements = _placements(spec, self.pattern)
+        if placements:
+            bp = _blob_side(spec)
+            px = bp * spec.patch
+            # One patch-sized pattern tiled over the blob: every covered
+            # tube sees the same content, so the blob forms a single
+            # feature cluster.
+            tile = rng.normal(0.0, 1.0, size=(spec.patch, spec.patch, spec.channels))
+            texture = np.tile(tile, (bp, bp, 1))
+            for g, (row, col, amp) in enumerate(placements):
+                f0 = g * spec.tube
+                clip[f0 : f0 + spec.tube, row * spec.patch : row * spec.patch + px,
+                     col * spec.patch : col * spec.patch + px, :] += amp * texture
+        voxels = clip.astype(np.float32)
+        voxels.setflags(write=False)
+        return voxels
 
 
-def _blob_tubes(spec: ClipSpec, group: int, row: int, col: int, bp: int) -> list[int]:
-    per_group = spec.grid_h * spec.grid_w
-    return [
-        group * per_group + r * spec.grid_w + c
-        for r in range(row, row + bp)
-        for c in range(col, col + bp)
-    ]
+def _blob_side(spec: ClipSpec) -> int:
+    return min(BLOB_PATCHES, spec.grid_h, spec.grid_w)
 
 
-def synth_clip(spec: ClipSpec, seed: int, pattern: str) -> SynthClip:
-    """Generate one clip. pattern is noise, moving-blob, or front-loaded."""
-    rng = numerics.make_rng(seed)
-    clip = rng.normal(0.0, 1.0, size=(spec.frames, spec.height, spec.width, spec.channels))
-
+def _placements(spec: ClipSpec, pattern: str) -> list[tuple[int, int, float]]:
+    """The blob's top-left patch (row, col) and amplitude in each frame
+    group; none for noise."""
     if pattern == "noise":
-        return _read_only(clip, ())
-
-    bp = min(BLOB_PATCHES, spec.grid_h, spec.grid_w)
-    px = bp * spec.patch
-    # One patch-sized pattern tiled over the blob: every covered tube
-    # sees the same content, so the blob forms a single feature cluster.
-    tile = rng.normal(0.0, 1.0, size=(spec.patch, spec.patch, spec.channels))
-    texture = np.tile(tile, (bp, bp, 1))
-    fg: list[int] = []
-
+        return []
+    bp = _blob_side(spec)
     if pattern == "moving-blob":
-        for g in range(spec.n_groups):
-            row = g % (spec.grid_h - bp + 1)
-            col = g % (spec.grid_w - bp + 1)
-            f0 = g * spec.tube
-            clip[f0 : f0 + spec.tube, row * spec.patch : row * spec.patch + px,
-                 col * spec.patch : col * spec.patch + px, :] += BLOB_AMP * texture
-            fg.extend(_blob_tubes(spec, g, row, col, bp))
-    elif pattern == "front-loaded":
+        return [
+            (g % (spec.grid_h - bp + 1), g % (spec.grid_w - bp + 1), BLOB_AMP)
+            for g in range(spec.n_groups)
+        ]
+    if pattern == "front-loaded":
         row = (spec.grid_h - bp) // 2
         col = (spec.grid_w - bp) // 2
+        placed = []
         for g in range(spec.n_groups):
             frac = g / (spec.n_groups - 1) if spec.n_groups > 1 else 0.0
             amp = BLOB_AMP * (FRONT_DECAY_START + (FRONT_DECAY_END - FRONT_DECAY_START) * frac)
-            f0 = g * spec.tube
-            clip[f0 : f0 + spec.tube, row * spec.patch : row * spec.patch + px,
-                 col * spec.patch : col * spec.patch + px, :] += amp * texture
-            fg.extend(_blob_tubes(spec, g, row, col, bp))
-    else:
-        raise ValueError(f"unknown clip pattern {pattern!r}")
-
-    return _read_only(clip, tuple(fg))
+            placed.append((row, col, amp))
+        return placed
+    raise ValueError(f"unknown clip pattern {pattern!r}")
 
 
-def _read_only(clip: np.ndarray, foreground: tuple[int, ...]) -> SynthClip:
-    voxels = clip.astype(np.float32)
-    voxels.setflags(write=False)
-    return SynthClip(clip=voxels, foreground=foreground)
+def synth_clip(spec: ClipSpec, seed: int, pattern: str) -> SynthClip:
+    """One clip's recipe. pattern is noise, moving-blob, or front-loaded."""
+    return SynthClip(spec, seed, pattern)

@@ -15,13 +15,16 @@ writes its artifacts under <out.dir>/<run_id>/:
 
 The mode's reducer comes from RunConfig.reducers; with none (baseline)
 the clean forward is the run's result. The forwards share only the
-clip and the weights, both read-only, unless the reducer declares
-``reads_rollout`` (prune-rollout) and reads the clean rollout table.
+clip's voxels and the weights, both read-only, unless the reducer
+declares ``reads_rollout`` (prune-rollout) and reads the clean rollout
+table. _inputs builds the voxels once per run, from the clip's recipe
+(clips.SynthClip); both forwards read that one array, and nothing holds
+it once run returns.
 
 A run whose analytical MACs reach CONCURRENT_MIN_MACS, on a process
 that may use at least two CPUs, uses three threads; _inputs alone
 makes that choice. A pool thread draws the weights into a
-model.WeightStream while the calling thread builds the clip, and each
+model.WeightStream while the calling thread builds the voxels, and each
 forward waits only for the layer it is about to run. Unless the mode
 has no reducer or its reducer reads the rollout, the pool's other
 thread then runs the reduced forward while the calling thread runs the
@@ -53,7 +56,8 @@ sink. That sink writes the layer's probs into the hidden directory with
 dump.attention and takes its metrics.csv mean_saliency, so its maps die
 with the layer; on an overlapped run that work is the worker thread's.
 Of the two forwards, a RunResult keeps only their traces (each layer's
-token count and wall time, and the final state), and no n x n map.
+token count and wall time, and the final state), and no n x n map; of
+the clip, it keeps the recipe and not the voxels.
 """
 
 from __future__ import annotations
@@ -128,37 +132,38 @@ def write_frame_ratios(path: Path, ratios: np.ndarray) -> None:
 
 @contextmanager
 def _inputs(cfg: RunConfig, macs: int):
-    """Yield a run's clip, its weights and a two-thread pool, or None.
+    """Yield a run's clip recipe, its voxels, its weights and a
+    two-thread pool, or None.
 
     run.seed derives two child seeds, one for the clip voxels and one
     for the model weights. From CONCURRENT_MIN_MACS analytical ``macs``,
     on two usable CPUs, a pool thread draws the weights into a
-    WeightStream while this thread builds the clip, and the pool's other
-    thread is free for the reduced forward; below, there is no pool.
-    Leaving the block, also by an exception, joins both threads.
+    WeightStream while this thread builds the voxels, and the pool's
+    other thread is free for the reduced forward; below, there is no
+    pool. Leaving the block, also by an exception, joins both threads.
     """
     spec = cfg.clip_spec()
     clip_seed, weight_seed = numerics.spawn_seeds(cfg.seed, 2)
+    synth = synth_clip(spec, clip_seed, cfg.pattern)
     if macs < CONCURRENT_MIN_MACS or _usable_cpus() < 2:
-        synth = synth_clip(spec, clip_seed, cfg.pattern)
-        yield synth, init_weights(cfg.model_config(), spec, weight_seed), None
+        yield synth, synth.voxels(), init_weights(cfg.model_config(), spec, weight_seed), None
         return
     weights = WeightStream(cfg.layers)
     with ThreadPoolExecutor(max_workers=2) as pool:
         drawing = pool.submit(weights.draw, cfg.model_config(), spec, weight_seed)
-        yield synth_clip(spec, clip_seed, cfg.pattern), weights, pool
+        yield synth, synth.voxels(), weights, pool
     drawing.result()
 
 
 def clean_forward(cfg: RunConfig, sink=None):
     """A run's clean reference: _clean_reference on its own clip and weights."""
     macs = costmodel.schedule_flops(cfg.cost_config(), []).total_flops
-    with _inputs(cfg, macs) as (synth, weights, _):
-        return _clean_reference(cfg, synth, weights, sink)
+    with _inputs(cfg, macs) as (_, voxels, weights, _):
+        return _clean_reference(cfg, voxels, weights, sink)
 
 
 def _clean_reference(
-    cfg: RunConfig, synth: SynthClip, weights, sink=None
+    cfg: RunConfig, voxels: np.ndarray, weights, sink=None
 ) -> tuple[ForwardResult, np.ndarray, np.ndarray]:
     """The no-reduction forward, its rollout table and its frame ratios.
 
@@ -179,7 +184,7 @@ def _clean_reference(
             sink(layer, maps)
 
     clean = forward_clip(
-        synth.clip, spec, cfg.model_config(), weights, [], None, sink=reference_sink
+        voxels, spec, cfg.model_config(), weights, [], None, sink=reference_sink
     )
     rollout = saliency.attention_rollout(head_means)
     frame_of = spec.tube_frame_groups()
@@ -215,22 +220,22 @@ def run(cfg: RunConfig) -> RunResult:
                 dump_tensor(run_dir / f"attention_l{layer:02d}.vtdr", maps.probs)
             mean_saliency.append(float(maps.masked_saliency.mean()))
 
-        with _inputs(cfg, cost.total_flops) as (synth, weights, pool):
+        with _inputs(cfg, cost.total_flops) as (synth, voxels, weights, pool):
 
             def reduced(by):
                 return forward_clip(
-                    synth.clip, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
+                    voxels, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
                     by, sink=result_sink,
                 )
 
             if pool is None or reducer is None or getattr(reducer, "reads_rollout", False):
                 clean, rollout, ratios = _clean_reference(
-                    cfg, synth, weights, result_sink if reducer is None else None
+                    cfg, voxels, weights, result_sink if reducer is None else None
                 )
                 result = clean if reducer is None else reduced(cfg.reducers(rollout)[cfg.mode])
             else:
                 pending = pool.submit(reduced, reducer)
-                clean, _, ratios = _clean_reference(cfg, synth, weights)
+                clean, _, ratios = _clean_reference(cfg, voxels, weights)
                 result = pending.result()
 
         observed = tuple(tr.tokens_out for tr in result.traces)

@@ -93,9 +93,9 @@ def draw_schedule(rng, n, layers, force_first=True):
 def tiny_setup(seed, pattern, tau, layers=4):
     cfg = ModelConfig(width=16, heads=2, layers=layers, temporal_bias=tau)
     clip_seed, weight_seed = numerics.spawn_seeds(seed, 2)
-    synth = synth_clip(TINY, clip_seed, pattern)
+    voxels = synth_clip(TINY, clip_seed, pattern).voxels()
     weights = init_weights(cfg, TINY, weight_seed)
-    return cfg, synth, weights
+    return cfg, voxels, weights
 
 
 class UnitScoreMergeReducer:
@@ -229,13 +229,13 @@ def test_criterion_04_unit_score_degeneration(capsys):
     max_err = 0.0
     for i in range(100):
         tau = float(rng.choice([0.0, 0.6, 1.8]))
-        cfg, synth, weights = tiny_setup(1000 + i, PATTERNS[i % 3], tau)
+        cfg, voxels, weights = tiny_setup(1000 + i, PATTERNS[i % 3], tau)
         schedule = draw_schedule(rng, TINY.n_tokens, 3)
         a = forward_clip(
-            synth.clip, TINY, cfg, weights, schedule, UnitScoreMergeReducer()
+            voxels, TINY, cfg, weights, schedule, UnitScoreMergeReducer()
         )
         b = forward_clip(
-            synth.clip, TINY, cfg, weights, schedule, TomeReducer()
+            voxels, TINY, cfg, weights, schedule, TomeReducer()
         )
         sa, sb = a.final_state, b.final_state
         assert sa.provenance == sb.provenance
@@ -255,9 +255,9 @@ def test_criterion_05_mass_conservation(capsys):
     for i in range(100):
         use_tome = i % 2 == 0
         reducer = RecordingTomeReducer() if use_tome else RecordingVidTldrReducer()
-        cfg, synth, weights = tiny_setup(3000 + i, PATTERNS[i % 3], 0.6)
+        cfg, voxels, weights = tiny_setup(3000 + i, PATTERNS[i % 3], 0.6)
         schedule = draw_schedule(rng, TINY.n_tokens, 3)
-        res = forward_clip(synth.clip, TINY, cfg, weights, schedule, reducer)
+        res = forward_clip(voxels, TINY, cfg, weights, schedule, reducer)
         for pre, post in reducer.events:
             merges += 1
             max_err = max(max_err, abs(post - pre))
@@ -354,7 +354,7 @@ def test_criterion_08_foreground_discrimination(capsys):
         clip_seed, weight_seed = numerics.spawn_seeds(seed, 2)
         synth = synth_clip(DESK, clip_seed, "moving-blob")
         weights = init_weights(cfg, DESK, weight_seed)
-        maps = head_mean_maps(synth.clip, cfg, weights)
+        maps = head_mean_maps(synth.voxels(), cfg, weights)
         shat = saliency.masked_saliency(saliency.sharpness_saliency(maps[1]))
         fg = np.zeros(DESK.n_tokens, dtype=bool)
         fg[list(synth.foreground)] = True
@@ -376,9 +376,9 @@ def test_criterion_09_temporal_bias_mitigation(capsys):
     gaps = []
     for seed in range(50):
         clip_seed, weight_seed = numerics.spawn_seeds(seed, 2)
-        synth = synth_clip(DESK, clip_seed, "front-loaded")
+        voxels = synth_clip(DESK, clip_seed, "front-loaded").voxels()
         weights = init_weights(cfg, DESK, weight_seed)
-        first = head_mean_maps(synth.clip, cfg, weights)[0]
+        first = head_mean_maps(voxels, cfg, weights)[0]
         ra = saliency.frame_score_ratio(
             saliency.attentiveness(first), frame_of, DESK.n_groups
         )
@@ -438,7 +438,7 @@ def test_criterion_11_schedule_count_contract(capsys):
     rng = numerics.make_rng(1111)
     cfg = ModelConfig(width=32, heads=4, layers=4, temporal_bias=0.6)
     clip_seed, weight_seed = numerics.spawn_seeds(11, 2)
-    synth = synth_clip(MID, clip_seed, "moving-blob")
+    voxels = synth_clip(MID, clip_seed, "moving-blob").voxels()
     weights = init_weights(cfg, MID, weight_seed)
     reducers = (
         lambda: TomeReducer(),
@@ -452,7 +452,7 @@ def test_criterion_11_schedule_count_contract(capsys):
     for i in range(100):
         schedule = draw_schedule(rng, MID.n_tokens, 4, force_first=False)
         make = reducers[i % 3]
-        res = forward_clip(synth.clip, MID, cfg, weights, schedule, make())
+        res = forward_clip(voxels, MID, cfg, weights, schedule, make())
         expect = MID.n_tokens - sum(schedule)
         finals.append(res.final_state.count)
         if res.final_state.count != expect or res.traces[-1].tokens_out != expect:

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import os
 import shutil
@@ -232,6 +233,22 @@ def test_console_script_usage():
     proc = subprocess.run(["vidtldr"], capture_output=True, text=True)
     assert proc.returncode == 2
     assert "usage:" in proc.stderr
+
+
+def test_module_usage_and_console_script_target():
+    """What the installed ``vidtldr`` script runs, checked without installing it."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vidtldr.harness.cli"], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["vidtldr"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 def test_cli_and_desk_run_import_no_scipy(tmp_path):

@@ -6,35 +6,71 @@ from vidtldr.harness import clips
 from vidtldr.model import ClipSpec
 
 SPEC = ClipSpec(frames=8, height=64, width=64, tube=2, patch=16)
+BIG = ClipSpec(frames=16, height=112, width=112, tube=2, patch=16)
+PATTERNS = ("noise", "moving-blob", "front-loaded")
 
 
 def test_shapes_and_dtype():
-    for pattern in ("noise", "moving-blob", "front-loaded"):
-        out = clips.synth_clip(SPEC, 0, pattern)
-        assert out.clip.shape == (8, 64, 64, 3)
-        assert out.clip.dtype == np.float32
+    for pattern in PATTERNS:
+        out = clips.synth_clip(SPEC, 0, pattern).voxels()
+        assert out.shape == (8, 64, 64, 3)
+        assert out.dtype == np.float32
 
 
 def test_deterministic_in_seed():
     a = clips.synth_clip(SPEC, 5, "moving-blob")
     b = clips.synth_clip(SPEC, 5, "moving-blob")
-    assert_array_equal(a.clip, b.clip)
+    assert a == b
+    assert_array_equal(a.voxels(), b.voxels())
     assert a.foreground == b.foreground
     c = clips.synth_clip(SPEC, 6, "moving-blob")
-    assert not np.array_equal(a.clip, c.clip)
+    assert not np.array_equal(a.voxels(), c.voxels())
+
+
+def test_two_builds_are_bit_identical_and_read_only():
+    synth = clips.synth_clip(SPEC, 7, "front-loaded")
+    a, b = synth.voxels(), synth.voxels()
+    assert a is not b
+    assert a.tobytes() == b.tobytes()
+    for v in (a, b):
+        assert not v.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            v[0, 0, 0, 0] = 0.0
 
 
 def test_unknown_pattern_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown clip pattern 'sine'"):
         clips.synth_clip(SPEC, 0, "sine")
+
+
+def _blob_tubes(spec, seed, pattern):
+    """Tubes whose voxels differ from the noise clip of the same seed."""
+    diff = (clips.synth_clip(spec, seed, pattern).voxels()
+            != clips.synth_clip(spec, seed, "noise").voxels())
+    per_tube = diff.reshape(
+        spec.n_groups, spec.tube, spec.grid_h, spec.patch, spec.grid_w, spec.patch, -1
+    ).any(axis=(1, 3, 5, 6))
+    return tuple(int(t) for t in np.flatnonzero(per_tube))
+
+
+@pytest.mark.parametrize("spec", [SPEC, BIG], ids=["desk", "392-token"])
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_foreground_depends_on_spec_and_pattern_alone(spec, pattern):
+    fg = clips.synth_clip(spec, 0, pattern).foreground
+    for seed in (1, 2, 20240318, 2**63 - 1):
+        assert clips.synth_clip(spec, seed, pattern).foreground == fg
+    # ... and it is the set of tubes the blob's voxels cover
+    assert fg == _blob_tubes(spec, 3, pattern)
+    assert len(fg) == (0 if pattern == "noise" else 4 * spec.n_groups)
 
 
 def test_noise_has_no_foreground():
     out = clips.synth_clip(SPEC, 1, "noise")
     assert out.foreground == ()
     # unit Gaussian, 98k voxels
-    assert abs(float(out.clip.mean())) < 0.05
-    assert abs(float(out.clip.std()) - 1.0) < 0.05
+    voxels = out.voxels()
+    assert abs(float(voxels.mean())) < 0.05
+    assert abs(float(voxels.std()) - 1.0) < 0.05
 
 
 def test_moving_blob_foreground_indices():
@@ -56,8 +92,8 @@ def test_moving_blob_addition_profile():
     # same seed: the noise background is identical, so the difference
     # isolates exactly what the blob added
     seed = 9
-    noise = clips.synth_clip(SPEC, seed, "noise").clip
-    blob = clips.synth_clip(SPEC, seed, "moving-blob").clip
+    noise = clips.synth_clip(SPEC, seed, "noise").voxels()
+    blob = clips.synth_clip(SPEC, seed, "moving-blob").voxels()
     diff = blob.astype(np.float64) - noise.astype(np.float64)
     nz = np.abs(diff) > 1e-6
     # the blob touches every frame (it covers whole frame groups)
@@ -69,8 +105,8 @@ def test_moving_blob_addition_profile():
 
 def test_moving_blob_tubes_share_texture():
     seed = 10
-    noise = clips.synth_clip(SPEC, seed, "noise").clip
-    blob = clips.synth_clip(SPEC, seed, "moving-blob").clip
+    noise = clips.synth_clip(SPEC, seed, "noise").voxels()
+    blob = clips.synth_clip(SPEC, seed, "moving-blob").voxels()
     diff = blob - noise
     p = SPEC.patch
     # within one frame, the four covered patches carry the same tile
@@ -89,8 +125,8 @@ def test_moving_blob_tubes_share_texture():
 
 def test_front_loaded_amplitude_decays():
     seed = 11
-    noise = clips.synth_clip(SPEC, seed, "noise").clip
-    front = clips.synth_clip(SPEC, seed, "front-loaded").clip
+    noise = clips.synth_clip(SPEC, seed, "noise").voxels()
+    front = clips.synth_clip(SPEC, seed, "front-loaded").voxels()
     diff = np.abs(front.astype(np.float64) - noise.astype(np.float64))
     per_group = [
         diff[g * SPEC.tube : (g + 1) * SPEC.tube].sum() for g in range(SPEC.n_groups)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from vidtldr import costmodel, merging, model, saliency
-from vidtldr.harness import runner, tensorio
+from vidtldr.harness import clips, runner, tensorio
 from vidtldr.harness.config import MODES, InvariantError, parse_config_text
 
 # 8 tokens, 4 layers: small enough that a run is a few milliseconds
@@ -221,10 +221,10 @@ def test_config_and_forward_clip_share_the_merge_limit(tmp_path, mode):
         config_rejects = str(e).startswith("run.schedule:")  # not baseline's zero-schedule rule
     cfg = parse_config_text(text)
     reducer = cfg.reducers(np.zeros((4, 16)))[mode]
-    with runner._inputs(cfg, 0) as (synth, weights, _):
+    with runner._inputs(cfg, 0) as (_, voxels, weights, _):
         try:
             model.forward_clip(
-                synth.clip, cfg.clip_spec(), cfg.model_config(), weights, [9], reducer
+                voxels, cfg.clip_spec(), cfg.model_config(), weights, [9], reducer
             )
             infeasible = False
         except costmodel.InfeasibleScheduleError:
@@ -267,8 +267,8 @@ def executors(monkeypatch):
 
 
 def test_shared_inputs_are_read_only(tmp_path):
-    with runner._inputs(make_cfg(tmp_path), 0) as (synth, weights, _):
-        arrays = [synth.clip, weights.embed] + [
+    with runner._inputs(make_cfg(tmp_path), 0) as (_, voxels, weights, _):
+        arrays = [voxels, weights.embed] + [
             getattr(lw, f.name) for lw in weights.layers for f in dataclasses.fields(lw)
         ]
     assert len(arrays) == 2 + 6 * 4
@@ -283,6 +283,35 @@ def test_usable_cpus_counts_at_least_one():
 
 def _mode_cfg(tmp_path, mode):
     return make_cfg(tmp_path, mode=mode, schedule="" if mode == "baseline" else "2,2")
+
+
+@pytest.fixture
+def voxel_builds(monkeypatch):
+    """Records the recipe of each clip whose voxels are built."""
+    built = []
+    voxels = clips.SynthClip.voxels
+
+    def spy(synth):
+        built.append(synth)
+        return voxels(synth)
+
+    monkeypatch.setattr(clips.SynthClip, "voxels", spy)
+    return built
+
+
+@pytest.mark.parametrize("gate", ["serial", "overlapped"])
+def test_a_run_builds_its_voxels_once(tmp_path, request, voxel_builds, gate):
+    if gate == "overlapped":
+        started = request.getfixturevalue("executors")
+    for mode in MODES:
+        res = runner.run(_mode_cfg(tmp_path, mode))
+        assert voxel_builds == [res.clip], mode
+        assert _reachable_arrays(res.clip) == []
+        voxel_builds.clear()
+    runner.clean_forward(_mode_cfg(tmp_path, "baseline"))
+    assert len(voxel_builds) == 1
+    if gate == "overlapped":
+        assert len(started) == len(MODES) + 1
 
 
 def test_serial_runs_start_no_thread(tmp_path, executors, monkeypatch):
@@ -569,9 +598,9 @@ def test_results_hold_no_per_head_tensors(tmp_path, monkeypatch, mode, dump, gat
         return
     _, rollout, _ = runner.clean_forward(cfg)
     dumped = []
-    with runner._inputs(cfg, 0) as (synth, weights, _):
+    with runner._inputs(cfg, 0) as (_, voxels, weights, _):
         direct = model.forward_clip(
-            synth.clip, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
+            voxels, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
             cfg.reducers(rollout)[mode],
             sink=lambda layer, maps: dumped.append((layer, maps.probs)),
         )
@@ -584,10 +613,10 @@ def test_results_hold_no_per_head_tensors(tmp_path, monkeypatch, mode, dump, gat
         assert path.read_bytes() == header + p.astype("<f4").tobytes()
 
 
-def _reachable_arrays(root, skip=()):
-    """Every ndarray that object references lead to from ``root``, apart
-    from those in ``skip``; modules, types and functions are not entered."""
-    seen = {id(x) for x in skip}
+def _reachable_arrays(root):
+    """Every ndarray that object references lead to from ``root``;
+    modules, types and functions are not entered."""
+    seen = set()
     found, stack = [], [root]
     while stack:
         obj = stack.pop()
@@ -618,7 +647,7 @@ def test_big_run_result_keeps_no_attention_map(tmp_path):
     n0 = cfg.clip_spec().n_tokens
     assert n0 == 392
     entering = {n0} | {tr.tokens_out for tr in res.result.traces}
-    arrays = _reachable_arrays(res, skip=[res.clip.clip])
+    arrays = _reachable_arrays(res)
     for a in arrays:
         square = a.ndim >= 2 and a.shape[-1] == a.shape[-2]
         assert not (square and a.shape[-1] in entering), a.shape
@@ -626,8 +655,8 @@ def test_big_run_result_keeps_no_attention_map(tmp_path):
     state_bytes = _unique_bytes(_reachable_arrays(finals))
     assert _unique_bytes(arrays) <= state_bytes
     # The two final states, at 392 and 104 tokens, come to 0.26 MB; one
-    # more layer's state would add at least 0.06 MB, and each 392 x 392
-    # float32 head-mean map 0.6 MB.
+    # more layer's state would add at least 0.06 MB, each 392 x 392
+    # float32 head-mean map 0.6 MB and the clip's voxels 2.41 MB.
     assert state_bytes < 0.3e6
 
 
