@@ -1,6 +1,6 @@
 """Synthetic clip recipes with ground-truth foreground bookkeeping.
 
-Three patterns, all deterministic in the seed:
+Three patterns, all deterministic in the seed, named in PATTERNS:
 
 * noise: pure unit Gaussian voxels, no foreground.
 * moving-blob: a fixed high-contrast texture patch added over the
@@ -39,7 +39,7 @@ FRONT_DECAY_END = 0.65
 class SynthClip:
     spec: ClipSpec
     seed: int
-    pattern: str  # noise, moving-blob or front-loaded
+    pattern: str  # one of PATTERNS
 
     def __post_init__(self):
         _placements(self.spec, self.pattern)  # an unknown pattern raises here
@@ -84,29 +84,38 @@ def _blob_side(spec: ClipSpec) -> int:
     return min(BLOB_PATCHES, spec.grid_h, spec.grid_w)
 
 
+def _moving_blob(spec: ClipSpec, bp: int) -> list[tuple[int, int, float]]:
+    return [
+        (g % (spec.grid_h - bp + 1), g % (spec.grid_w - bp + 1), BLOB_AMP)
+        for g in range(spec.n_groups)
+    ]
+
+
+def _front_loaded(spec: ClipSpec, bp: int) -> list[tuple[int, int, float]]:
+    row, col = (spec.grid_h - bp) // 2, (spec.grid_w - bp) // 2
+    span, last = FRONT_DECAY_END - FRONT_DECAY_START, max(spec.n_groups - 1, 1)
+    return [
+        (row, col, BLOB_AMP * (FRONT_DECAY_START + span * (g / last)))
+        for g in range(spec.n_groups)
+    ]
+
+
+# Each pattern's blob placements, given the blob's side bp in patches:
+# its top-left patch (row, col) and amplitude in each frame group.
+_PLACEMENTS = {
+    "noise": lambda spec, bp: [],
+    "moving-blob": _moving_blob,
+    "front-loaded": _front_loaded,
+}
+PATTERNS = tuple(_PLACEMENTS)
+
+
 def _placements(spec: ClipSpec, pattern: str) -> list[tuple[int, int, float]]:
-    """The blob's top-left patch (row, col) and amplitude in each frame
-    group; none for noise."""
-    if pattern == "noise":
-        return []
-    bp = _blob_side(spec)
-    if pattern == "moving-blob":
-        return [
-            (g % (spec.grid_h - bp + 1), g % (spec.grid_w - bp + 1), BLOB_AMP)
-            for g in range(spec.n_groups)
-        ]
-    if pattern == "front-loaded":
-        row = (spec.grid_h - bp) // 2
-        col = (spec.grid_w - bp) // 2
-        placed = []
-        for g in range(spec.n_groups):
-            frac = g / (spec.n_groups - 1) if spec.n_groups > 1 else 0.0
-            amp = BLOB_AMP * (FRONT_DECAY_START + (FRONT_DECAY_END - FRONT_DECAY_START) * frac)
-            placed.append((row, col, amp))
-        return placed
-    raise ValueError(f"unknown clip pattern {pattern!r}")
+    if pattern not in _PLACEMENTS:
+        raise ValueError(f"unknown clip pattern {pattern!r}")
+    return _PLACEMENTS[pattern](spec, _blob_side(spec))
 
 
 def synth_clip(spec: ClipSpec, seed: int, pattern: str) -> SynthClip:
-    """One clip's recipe. pattern is noise, moving-blob, or front-loaded."""
+    """One clip's recipe. pattern is one of PATTERNS."""
     return SynthClip(spec, seed, pattern)

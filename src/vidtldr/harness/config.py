@@ -21,6 +21,7 @@ from pathlib import Path
 from .. import saliency
 from ..costmodel import CostConfig, plan_schedule
 from ..model import ClipSpec, ModelConfig, PruneReducer, TomeReducer, VidTldrReducer
+from .clips import PATTERNS
 
 
 class ConfigError(ValueError):
@@ -30,8 +31,6 @@ class ConfigError(ValueError):
 class InvariantError(ValueError):
     """Structurally valid config that violates a cross-field rule."""
 
-
-PATTERNS = ("noise", "moving-blob", "front-loaded")
 
 DEFAULT_TEMPORAL_BIAS = 1.8
 # Largest accepted float magnitude: the temporal bias enters attention

@@ -23,9 +23,10 @@ it once run returns.
 
 A run whose analytical MACs reach CONCURRENT_MIN_MACS, on a process
 that may use at least two CPUs, uses three threads; _inputs alone
-makes that choice. A pool thread draws the weights into a
-model.WeightStream while the calling thread builds the voxels, and each
-forward waits only for the layer it is about to run. Unless the mode
+makes that choice. A pool thread draws the weights into its
+WeightStream while the calling thread builds the voxels, and each
+forward waits only for the layer it is about to run. Every thread, pool
+and future of the program lives in this module. Unless the mode
 has no reducer or its reducer reads the rollout, the pool's other
 thread then runs the reduced forward while the calling thread runs the
 clean forward and the rollout. clean_forward streams its weights the
@@ -66,16 +67,16 @@ import csv
 import os
 import shutil
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .. import costmodel, numerics, saliency
+from .. import costmodel, model, numerics, saliency
 from ..merging import TokenState
-from ..model import ForwardResult, WeightStream, forward_clip, init_weights
+from ..model import ForwardResult, forward_clip
 from .clips import SynthClip, synth_clip
 from .config import CLIP_IDENTITY, ConfigError, InvariantError, RunConfig, load_config
 from .tensorio import dump_tensor, load_tensor
@@ -130,6 +131,40 @@ def write_frame_ratios(path: Path, ratios: np.ndarray) -> None:
             w.writerow([g] + [_fmt(x) for x in row])
 
 
+class WeightStream:
+    """Model weights that one thread draws while others read them.
+
+    ``draw`` runs model.init_weights, which publishes the embedding and
+    then each layer in its draw order, each into its own future.
+    ``embed`` and each step of ``layers`` wait only for their own piece,
+    so a forward starts as soon as the embedding is drawn, and any
+    number of threads may read at once. If the draw raises, a read of a
+    piece it did not publish raises the same error.
+    """
+
+    def __init__(self, layers: int):
+        self._pieces = [Future() for _ in range(1 + layers)]
+
+    def draw(self, cfg, spec, seed) -> model.ModelWeights:
+        unpublished = iter(self._pieces)
+        try:
+            return model.init_weights(
+                cfg, spec, seed, publish=lambda piece: next(unpublished).set_result(piece)
+            )
+        except BaseException as e:
+            for piece in unpublished:
+                piece.set_exception(e)
+            raise
+
+    @property
+    def embed(self) -> np.ndarray:
+        return self._pieces[0].result()
+
+    @property
+    def layers(self):
+        return (piece.result() for piece in self._pieces[1:])
+
+
 @contextmanager
 def _inputs(cfg: RunConfig, macs: int):
     """Yield a run's clip recipe, its voxels, its weights and a
@@ -145,12 +180,13 @@ def _inputs(cfg: RunConfig, macs: int):
     spec = cfg.clip_spec()
     clip_seed, weight_seed = numerics.spawn_seeds(cfg.seed, 2)
     synth = synth_clip(spec, clip_seed, cfg.pattern)
+    draw = (cfg.model_config(), spec, weight_seed)
     if macs < CONCURRENT_MIN_MACS or _usable_cpus() < 2:
-        yield synth, synth.voxels(), init_weights(cfg.model_config(), spec, weight_seed), None
+        yield synth, synth.voxels(), model.init_weights(*draw), None
         return
     weights = WeightStream(cfg.layers)
     with ThreadPoolExecutor(max_workers=2) as pool:
-        drawing = pool.submit(weights.draw, cfg.model_config(), spec, weight_seed)
+        drawing = pool.submit(weights.draw, *draw)
         yield synth, synth.voxels(), weights, pool
     drawing.result()
 

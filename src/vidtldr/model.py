@@ -28,7 +28,6 @@ and the MLP, via a pluggable reducer.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -129,7 +128,7 @@ class LayerWeights:
 @dataclass(frozen=True)
 class ModelWeights:
     """A model's weights. embed_clip reads only ``embed`` and forward_clip
-    only iterates ``layers``, so a WeightStream can stand in for them."""
+    only iterates ``layers``, so harness.runner's WeightStream can stand in."""
 
     embed: np.ndarray
     layers: tuple[LayerWeights, ...]
@@ -175,53 +174,6 @@ def init_weights(
         )
         publish(layers[-1])
     return ModelWeights(embed=embed, layers=tuple(layers))
-
-
-class WeightStream:
-    """Model weights that one thread draws while others read them.
-
-    ``draw`` runs init_weights, which publishes the embedding and then
-    each layer in its draw order. ``embed`` and each step of ``layers``
-    wait only for their own piece, so a forward starts as soon as the
-    embedding is drawn, and any number of threads may read at once. If
-    the draw raises, a read of a piece it did not publish raises the
-    same error.
-    """
-
-    def __init__(self, layers: int):
-        self._n = 1 + layers
-        self._pieces = []
-        self._error = None
-        self._ready = threading.Condition()
-
-    def draw(self, cfg: ModelConfig, spec: ClipSpec, seed: int) -> ModelWeights:
-        try:
-            return init_weights(cfg, spec, seed, publish=self._publish)
-        except BaseException as e:
-            with self._ready:
-                self._error = e
-                self._ready.notify_all()
-            raise
-
-    def _publish(self, piece) -> None:
-        with self._ready:
-            self._pieces.append(piece)
-            self._ready.notify_all()
-
-    def _piece(self, i: int):
-        with self._ready:
-            self._ready.wait_for(lambda: len(self._pieces) > i or self._error is not None)
-            if len(self._pieces) > i:
-                return self._pieces[i]
-            raise self._error
-
-    @property
-    def embed(self) -> np.ndarray:
-        return self._piece(0)
-
-    @property
-    def layers(self):
-        return (self._piece(i) for i in range(1, self._n))
 
 
 def layer_norm(x) -> np.ndarray:

@@ -1,11 +1,13 @@
-"""Reference loops that the numerics kernels are checked against, bit for bit.
+"""Reference loops that the kernels are checked against, bit for bit.
 
 ``k_ordered_sum`` is the reference accumulator of ``numerics``: a float64
 sum that starts from +0.0 and adds the products of each k in increasing
 k. ``cosine_matrix`` is the reference cosine matrix built on it, the one
 ``numerics.cosine_argmax``, ``numerics._cosines`` and
-``numerics.cosine_sim`` must reproduce. Neither calls the kernels they
-check.
+``numerics.cosine_sim`` must reproduce. ``oracle_match`` and
+``oracle_merge`` are the exhaustive matching and the per-group merge
+that ``merging`` is checked against. No oracle calls the kernel it
+checks.
 """
 
 import numpy as np
@@ -37,3 +39,31 @@ def cosine_matrix(a, b) -> np.ndarray:
     eps = numerics.COSINE_NORM_EPS
     flat = (na < eps) | (nb < eps)
     return np.where(flat, 0.0, dots / np.where(flat, 1.0, na * nb))
+
+
+def oracle_match(keys, part, r):
+    """Exhaustive matching: score every src-dst pair, cut at r."""
+    keys = np.asarray(keys, dtype=np.float64)
+    rows = []
+    for s in part.src_index:
+        best_d, best_sim = None, None
+        for d in part.dst_index:
+            sim = numerics.cosine_sim(keys[s], keys[d])
+            if best_sim is None or sim > best_sim:
+                best_d, best_sim = int(d), sim
+        rows.append((int(s), best_d, best_sim))
+    rows.sort(key=lambda t: (-t[2], t[0]))
+    return rows[:r]
+
+
+def oracle_merge(state, match, masses):
+    """Per-group weighted means, one numpy sum per group over its members
+    in listed order: the merge must equal these bit for bit."""
+    feats = state.features.astype(np.float64)
+    out_f, out_m = [], []
+    for group in match.groups:
+        idx = list(group)
+        w = np.asarray([masses[i] for i in idx], dtype=np.float64)
+        out_f.append((w[:, None] * feats[idx]).sum(axis=0) / w.sum())
+        out_m.append(w.sum())
+    return np.array(out_f), np.array(out_m)

@@ -12,9 +12,10 @@ import csv
 
 import numpy as np
 
+from oracles import oracle_match, oracle_merge
 from vidtldr import costmodel, merging, numerics, saliency
 from vidtldr.harness import runner
-from vidtldr.harness.clips import synth_clip
+from vidtldr.harness.clips import PATTERNS, synth_clip
 from vidtldr.harness.config import parse_config_text
 from vidtldr.model import (
     ClipSpec,
@@ -33,8 +34,6 @@ DESK = ClipSpec(frames=8, height=64, width=64, tube=2, patch=16)      # 64 token
 TINY = ClipSpec(frames=4, height=16, width=16, tube=2, patch=8)       # 8 tokens
 MID = ClipSpec(frames=4, height=32, width=32, tube=2, patch=8)        # 32 tokens
 
-PATTERNS = ("noise", "moving-blob", "front-loaded")
-
 
 def report(capsys, num, name, ok, detail):
     with capsys.disabled():
@@ -51,31 +50,6 @@ def random_masses_state(rng, n, width):
     state = merging.new_state(feats)
     masses = rng.uniform(0.5, 3.0, size=n)
     return merging.TokenState(state.features, masses, state.owner)
-
-
-def oracle_match(keys, part, r):
-    keys = np.asarray(keys, dtype=np.float64)
-    rows = []
-    for s in part.src_index:
-        best_d, best_sim = None, None
-        for d in part.dst_index:
-            sim = numerics.cosine_sim(keys[s], keys[d])
-            if best_sim is None or sim > best_sim:
-                best_d, best_sim = int(d), sim
-        rows.append((int(s), best_d, best_sim))
-    rows.sort(key=lambda t: (-t[2], t[0]))
-    return rows[:r]
-
-
-def oracle_merge(state, match, masses):
-    feats = state.features.astype(np.float64)
-    out_f, out_m = [], []
-    for group in match.groups:
-        idx = list(group)
-        w = np.asarray([masses[i] for i in idx], dtype=np.float64)
-        out_f.append((w[:, None] * feats[idx]).sum(axis=0) / w.sum())
-        out_m.append(w.sum())
-    return np.array(out_f), np.array(out_m)
 
 
 def draw_schedule(rng, n, layers, force_first=True):

@@ -7,11 +7,10 @@ from vidtldr.model import ClipSpec
 
 SPEC = ClipSpec(frames=8, height=64, width=64, tube=2, patch=16)
 BIG = ClipSpec(frames=16, height=112, width=112, tube=2, patch=16)
-PATTERNS = ("noise", "moving-blob", "front-loaded")
 
 
 def test_shapes_and_dtype():
-    for pattern in PATTERNS:
+    for pattern in clips.PATTERNS:
         out = clips.synth_clip(SPEC, 0, pattern).voxels()
         assert out.shape == (8, 64, 64, 3)
         assert out.dtype == np.float32
@@ -54,7 +53,7 @@ def _blob_tubes(spec, seed, pattern):
 
 
 @pytest.mark.parametrize("spec", [SPEC, BIG], ids=["desk", "392-token"])
-@pytest.mark.parametrize("pattern", PATTERNS)
+@pytest.mark.parametrize("pattern", clips.PATTERNS)
 def test_foreground_depends_on_spec_and_pattern_alone(spec, pattern):
     fg = clips.synth_clip(spec, 0, pattern).foreground
     for seed in (1, 2, 20240318, 2**63 - 1):

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import cosine_matrix
+from oracles import cosine_matrix, oracle_match, oracle_merge
 from vidtldr import merging, numerics
 from vidtldr.merging import MASS_EPS, Bipartition, TokenState
 
@@ -15,21 +15,6 @@ def random_state(rng, n, width=6):
     # random positive masses, as if earlier layers already merged
     masses = rng.uniform(0.5, 3.0, size=n)
     return TokenState(state.features, masses, state.owner)
-
-
-def oracle_match(keys, part, r):
-    """Exhaustive matching: score every src-dst pair, cut at r."""
-    keys = np.asarray(keys, dtype=np.float64)
-    rows = []
-    for s in part.src_index:
-        best_d, best_sim = None, None
-        for d in part.dst_index:
-            sim = numerics.cosine_sim(keys[s], keys[d])
-            if best_sim is None or sim > best_sim:
-                best_d, best_sim = int(d), sim
-        rows.append((int(s), best_d, best_sim))
-    rows.sort(key=lambda t: (-t[2], t[0]))
-    return rows[:r]
 
 
 def parent_soft_match(keys, part, r):
@@ -52,19 +37,6 @@ def parent_soft_match(keys, part, r):
         members[d].append(s)
     groups = tuple(tuple(members[i]) for i in np.flatnonzero(keep))
     return merging.MatchResult(merges=merges, groups=groups)
-
-
-def oracle_merge(state, match, masses):
-    """Per-group weighted means, one numpy sum per group over its members
-    in listed order: the merge must equal these bit for bit."""
-    feats = state.features.astype(np.float64)
-    out_f, out_m = [], []
-    for group in match.groups:
-        idx = list(group)
-        w = np.asarray([masses[i] for i in idx], dtype=np.float64)
-        out_f.append((w[:, None] * feats[idx]).sum(axis=0) / w.sum())
-        out_m.append(w.sum())
-    return np.array(out_f), np.array(out_m)
 
 
 def test_bipartition_alternation():

@@ -1,7 +1,5 @@
 import dataclasses
 import math
-import sys
-import threading
 import time
 import weakref
 
@@ -76,94 +74,6 @@ def test_init_weights_shapes():
     assert len(w.layers) == 2
     assert w.layers[0].w1.shape == (16, 64)
     assert w.layers[0].w2.shape == (64, 16)
-
-
-def _weight_arrays(w):
-    return [w.embed] + [getattr(lw, f.name) for lw in w.layers for f in dataclasses.fields(lw)]
-
-
-def _in_threads(*fns, seconds=30):
-    """Run each fn on its own thread and join them all; their results, in order."""
-    results = [None] * len(fns)
-
-    def call(i):
-        try:
-            results[i] = fns[i]()
-        except BaseException as e:  # handed to the test's thread
-            results[i] = e
-
-    threads = [threading.Thread(target=call, args=(i,), daemon=True) for i in range(len(fns))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(seconds)
-    assert not any(t.is_alive() for t in threads), "a weight reader hung"
-    return results
-
-
-def test_weight_stream_equals_init_weights():
-    cfg = ModelConfig(width=16, heads=2, layers=6)
-    ref = model.init_weights(cfg, SMALL, 7)
-    stream = model.WeightStream(cfg.layers)
-
-    def layer5_first():  # reaches layer 5 before it asks for the embedding
-        layers = list(stream.layers)
-        return model.ModelWeights(embed=stream.embed, layers=tuple(layers))
-
-    def embed_first():
-        embed = stream.embed
-        return model.ModelWeights(embed=embed, layers=tuple(stream.layers))
-
-    # Eight readers, more than the cores, start before the draw and read
-    # while it runs, switching threads as often as the interpreter allows.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        *reads, drawn = _in_threads(
-            *[layer5_first, embed_first] * 4, lambda: stream.draw(cfg, SMALL, 7)
-        )
-    finally:
-        sys.setswitchinterval(interval)
-    for got in reads + [drawn]:
-        assert isinstance(got, model.ModelWeights)
-        arrays = _weight_arrays(got)
-        assert len(arrays) == 1 + 6 * 6
-        for x, y in zip(arrays, _weight_arrays(ref)):
-            assert x.dtype == y.dtype and x.shape == y.shape
-            assert x.tobytes() == y.tobytes()
-            assert not x.flags.writeable
-        # every reader holds the very arrays the draw made
-        assert all(x is y for x, y in zip(arrays, _weight_arrays(drawn)))
-
-
-class Boom(Exception):
-    pass
-
-
-def test_weight_stream_failure_reaches_every_reader(monkeypatch):
-    cfg = ModelConfig(width=16, heads=2, layers=4)
-    real = model.init_weights
-
-    def fail_on_piece_2(cfg, spec, seed, publish):
-        def publish_or_fail(piece):
-            if len(published) == 2:
-                raise Boom("raised on purpose")
-            published.append(piece)
-            publish(piece)
-
-        return real(cfg, spec, seed, publish=publish_or_fail)
-
-    published = []
-    monkeypatch.setattr(model, "init_weights", fail_on_piece_2)
-    stream = model.WeightStream(cfg.layers)
-    readers = [lambda: list(stream.layers), lambda: stream.embed, lambda: list(stream.layers)]
-    *reads, drawn = _in_threads(*readers, lambda: stream.draw(cfg, SMALL, 3))
-    assert isinstance(reads[0], Boom) and isinstance(reads[2], Boom) and isinstance(drawn, Boom)
-    assert reads[1] is published[0]
-    layers = stream.layers
-    assert next(layers) is published[1]
-    with pytest.raises(Boom):
-        next(layers)
 
 
 def test_layer_norm_matches_reference():

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import gc
 import struct
+import sys
 import threading
 import time
 import types
@@ -17,6 +18,7 @@ from numpy.testing import assert_array_equal
 from vidtldr import costmodel, merging, model, saliency
 from vidtldr.harness import clips, runner, tensorio
 from vidtldr.harness.config import MODES, InvariantError, parse_config_text
+from vidtldr.model import ClipSpec, ModelConfig
 
 # 8 tokens, 4 layers: small enough that a run is a few milliseconds
 BASE = """\
@@ -314,6 +316,26 @@ def test_a_run_builds_its_voxels_once(tmp_path, request, voxel_builds, gate):
         assert len(started) == len(MODES) + 1
 
 
+@pytest.mark.parametrize("min_macs", [2**62, 0], ids=["gate-closed", "gate-open"])
+def test_a_run_draws_its_weights_once_through_model(tmp_path, monkeypatch, min_macs):
+    monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", min_macs)
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    real = model.init_weights
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "init_weights", spy)
+    for mode in MODES:
+        runner.run(_mode_cfg(tmp_path, mode))
+        assert len(calls) == 1, mode
+        calls.clear()
+    runner.clean_forward(_mode_cfg(tmp_path, "baseline"))
+    assert len(calls) == 1
+
+
 def test_serial_runs_start_no_thread(tmp_path, executors, monkeypatch):
     threads = threading.active_count()
     monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", 10**8)
@@ -369,6 +391,126 @@ def _run_with_deadline(cfg, seconds=60):
     t.join(seconds)
     assert not t.is_alive(), "runner.run hung"
     return raised[0] if raised else None
+
+
+# the weight stream tests' geometry: 2 frame groups x 2x2 patches = 8 tokens
+SMALL = ClipSpec(frames=4, height=16, width=16, tube=2, patch=8, channels=1)
+
+
+def _weight_arrays(w):
+    return [w.embed] + [getattr(lw, f.name) for lw in w.layers for f in dataclasses.fields(lw)]
+
+
+def _in_threads(*fns, seconds=30):
+    """Run each fn on its own thread and join them all; their results, in order."""
+    results = [None] * len(fns)
+
+    def call(i):
+        try:
+            results[i] = fns[i]()
+        except BaseException as e:  # handed to the test's thread
+            results[i] = e
+
+    threads = [threading.Thread(target=call, args=(i,), daemon=True) for i in range(len(fns))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(seconds)
+    assert not any(t.is_alive() for t in threads), "a weight reader hung"
+    return results
+
+
+def test_weight_stream_equals_init_weights():
+    cfg = ModelConfig(width=16, heads=2, layers=6)
+    ref = model.init_weights(cfg, SMALL, 7)
+    stream = runner.WeightStream(cfg.layers)
+
+    def layer5_first():  # reaches layer 5 before it asks for the embedding
+        layers = list(stream.layers)
+        return model.ModelWeights(embed=stream.embed, layers=tuple(layers))
+
+    def embed_first():
+        embed = stream.embed
+        return model.ModelWeights(embed=embed, layers=tuple(stream.layers))
+
+    # Eight readers, more than the cores, start before the draw and read
+    # while it runs, switching threads as often as the interpreter allows.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        *reads, drawn = _in_threads(
+            *[layer5_first, embed_first] * 4, lambda: stream.draw(cfg, SMALL, 7)
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    for got in reads + [drawn]:
+        assert isinstance(got, model.ModelWeights)
+        arrays = _weight_arrays(got)
+        assert len(arrays) == 1 + 6 * 6
+        for x, y in zip(arrays, _weight_arrays(ref)):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+            assert not x.flags.writeable
+        # every reader holds the very arrays the draw made
+        assert all(x is y for x, y in zip(arrays, _weight_arrays(drawn)))
+
+
+def test_weight_stream_failure_reaches_every_reader(monkeypatch):
+    cfg = ModelConfig(width=16, heads=2, layers=4)
+    real = model.init_weights
+
+    def fail_on_piece_2(cfg, spec, seed, publish):
+        def publish_or_fail(piece):
+            if len(published) == 2:
+                raise Boom("raised on purpose")
+            published.append(piece)
+            publish(piece)
+
+        return real(cfg, spec, seed, publish=publish_or_fail)
+
+    published = []
+    monkeypatch.setattr(model, "init_weights", fail_on_piece_2)
+    stream = runner.WeightStream(cfg.layers)
+    readers = [lambda: list(stream.layers), lambda: stream.embed, lambda: list(stream.layers)]
+    *reads, drawn = _in_threads(*readers, lambda: stream.draw(cfg, SMALL, 3))
+    assert isinstance(reads[0], Boom) and isinstance(reads[2], Boom) and isinstance(drawn, Boom)
+    assert reads[1] is published[0]
+    layers = stream.layers
+    assert next(layers) is published[1]
+    with pytest.raises(Boom):
+        next(layers)
+
+
+class Halt(BaseException):
+    """An error that is not an Exception."""
+
+
+def test_weight_stream_failure_that_is_no_exception_reaches_every_reader(monkeypatch):
+    cfg = ModelConfig(width=16, heads=2, layers=4)
+    real = model.init_weights
+    halt = Halt("raised on purpose")
+
+    def fail_on_piece_2(cfg, spec, seed, publish):
+        def publish_or_fail(piece):
+            if len(published) == 2:
+                raise halt
+            published.append(piece)
+            publish(piece)
+
+        return real(cfg, spec, seed, publish=publish_or_fail)
+
+    published = []
+    monkeypatch.setattr(model, "init_weights", fail_on_piece_2)
+    stream = runner.WeightStream(cfg.layers)
+    readers = [lambda: list(stream.layers), lambda: stream.embed, lambda: list(stream.layers)]
+    *reads, drawn = _in_threads(*readers, lambda: stream.draw(cfg, SMALL, 3))
+    assert reads[0] is halt and reads[2] is halt and drawn is halt
+    assert reads[1] is published[0]
+    layers = stream.layers
+    assert next(layers) is published[1]
+    with pytest.raises(Halt) as raised:
+        next(layers)
+    assert raised.value is halt
 
 
 @pytest.mark.parametrize("where", ["reduced", "clean"])
