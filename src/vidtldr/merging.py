@@ -5,14 +5,16 @@ float64 masses (how many source tubes' worth of signal a token carries),
 and an owner map (the live token holding each original tube, or -1 once
 the tube is pruned), which only this module writes.
 
-Matching follows the alternating-partition scheme: tokens at even
-positions are destinations, odd positions are sources. Each source is
-scored by its best cosine similarity to any destination over the given
-key vectors, the top r sources merge into their best destinations, and
-everything else survives unchanged. The best matches and their scores
-come from ``numerics.cosine_argmax``, the bits of an argmax over the
-full k-ordered cosine matrix. Merging is a mass-weighted mean: one
-numpy expression per group, batched over all groups of the same size.
+Matching follows the alternating-partition scheme, which only this
+module knows: tokens at even positions are destinations, odd positions
+are sources. Each source is scored by its best cosine similarity to any
+destination over the given key vectors, the top r sources merge into
+their best destinations, and everything else survives unchanged. The
+best matches and their scores come from ``numerics.cosine_argmax``, the
+bits of an argmax over the full k-ordered cosine matrix. A match is its
+merge list of (src, dst, similarity) triples, and both merges derive
+each group from it. Merging is a mass-weighted mean: one numpy
+expression per group, batched over all groups of the same size.
 The saliency-aware variant first rescales every source token's mass by
 its saliency score (merged or not), so background sources barely
 contribute to merged features and carry almost no mass forward.
@@ -20,7 +22,6 @@ contribute to merged features and carry almost no mass forward.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,74 +99,36 @@ def check_state(state: TokenState, n_tubes: int) -> None:
         raise ValueError("masses must stay at or above the mass floor")
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """Alternating split of token positions into destinations and sources."""
-
-    dst_index: np.ndarray
-    src_index: np.ndarray
-
-
-def bipartition(n: int) -> Bipartition:
-    """Even positions become destinations, odd positions sources (0-based)."""
-    if n < 2:
-        raise ValueError(f"bipartition needs at least 2 tokens, got {n}")
-    idx = np.arange(n)
-    return Bipartition(dst_index=idx[0::2], src_index=idx[1::2])
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Outcome of soft matching: which sources merge where.
-
-    merges lists (src, dst, similarity) for the r merged sources in
-    selection order (best score first). groups partitions all token
-    positions: one group per surviving token, holding the survivor and
-    every source merged into it.
-    """
-
-    merges: tuple[tuple[int, int, float], ...]
-    groups: tuple[tuple[int, ...], ...]
-
-
-def soft_match(keys, part: Bipartition, r: int) -> MatchResult:
+def soft_match(keys, r: int) -> tuple[tuple[int, int, float], ...]:
     """Score sources against destinations and pick the top r to merge.
 
-    Each source's score is its best cosine similarity to any
-    destination (ties go to the lower destination position). The r
-    highest-scoring sources merge into their best destinations; score
-    ties merge the lower source position first.
+    Even positions are destinations, odd positions sources. Each
+    source's score is its best cosine similarity to any destination
+    (ties go to the lower destination position). Returns the merge
+    list: (src, dst, similarity) for the r highest-scoring sources,
+    best score first; score ties merge the lower source position first.
     """
     k = numerics.as_matrix(keys)
-    dst = np.asarray(part.dst_index, dtype=np.int64)
-    src = np.asarray(part.src_index, dtype=np.int64)
+    n = k.shape[0]
+    if n < 2:
+        raise ValueError(f"soft_match needs at least 2 tokens, got {n}")
     if r < 0:
         raise ValueError(f"negative merge count {r}")
-    if r > src.shape[0]:
-        raise ValueError(f"cannot merge {r} of {src.shape[0]} source tokens")
-
-    j, scores = numerics.cosine_argmax(k[src], k[dst])  # first max: lowest dst wins ties
-    best = dst[j]
-
+    if r > n // 2:
+        raise ValueError(f"cannot merge {r} of {n // 2} source tokens")
+    src = np.arange(1, n, 2)
+    j, scores = numerics.cosine_argmax(k[1::2], k[0::2])  # first max: lowest dst wins ties
     chosen = np.lexsort((src, -scores))[:r]  # by (-score, src)
-    merges = tuple((int(src[i]), int(best[i]), float(scores[i])) for i in chosen)
-
-    keep = np.ones(k.shape[0], dtype=bool)
-    keep[src[chosen]] = False
-    members = [[i] for i in range(k.shape[0])]
-    for s, d, _ in sorted(merges):  # each group lists its sources in increasing position
-        members[d].append(s)
-    groups = tuple(tuple(members[i]) for i in np.flatnonzero(keep))
-    return MatchResult(merges=merges, groups=groups)
+    return tuple((int(src[i]), int(2 * j[i]), float(scores[i])) for i in chosen)
 
 
-def vidtldr_mass_update(state: TokenState, part: Bipartition, masked) -> np.ndarray:
+def vidtldr_mass_update(state: TokenState, masked) -> np.ndarray:
     """Saliency-rescaled masses: every source token's mass becomes
     max(saliency * mass, MASS_EPS); destination masses are untouched.
 
-    Applies to all sources, merged or not, so a suppressed unmerged
-    source carries an eps mass into later layers (merge-and-prune in
-    one mechanism).
+    Applies to all sources (odd positions), merged or not, so a
+    suppressed unmerged source carries an eps mass into later layers
+    (merge-and-prune in one mechanism).
     """
     s = np.asarray(masked, dtype=np.float64).reshape(-1)
     if s.shape[0] != state.count:
@@ -175,56 +138,62 @@ def vidtldr_mass_update(state: TokenState, part: Bipartition, masked) -> np.ndar
     if (s < 0).any() or (s > 1 + 1e-9).any():
         raise ValueError("masked saliency must lie in [0, 1]")
     out = state.masses.copy()
-    src = np.asarray(part.src_index, dtype=np.int64)
-    out[src] = np.maximum(out[src] * s[src], MASS_EPS)
+    out[1::2] = np.maximum(out[1::2] * s[1::2], MASS_EPS)
     return out
 
 
-def _merge_with_masses(state: TokenState, match: MatchResult, masses: np.ndarray) -> TokenState:
-    """Shared merge core: mass-weighted means over the matched groups.
+def _merge_with_masses(state: TokenState, merges, masses: np.ndarray) -> TokenState:
+    """Shared merge core: mass-weighted means over the groups of a merge list.
 
-    Surviving tokens keep their original relative order. A group's mass
-    is ``w.sum()`` and its feature ``(w[:, None] * f).sum(axis=0) /
-    mass``, over its members survivor first and merged sources in
-    increasing position. Groups of one size are stacked into a
-    ``(groups, size)`` batch and reduced along the member axis, which
-    relies on one condition: numpy reduces each row of a batch exactly
-    as it reduces that row alone. The byte oracle
-    test_merge_bytes_equal_per_group_loop checks it on each numpy build.
+    Every token not merged away survives, in its original relative
+    order, as one group: itself first, then the sources merged into it
+    in increasing position. A group's mass is ``w.sum()`` and its
+    feature ``(w[:, None] * f).sum(axis=0) / mass`` over those members.
+    Groups of one size are stacked into a ``(groups, size)`` batch and
+    reduced along the member axis, which relies on one condition: numpy
+    reduces each row of a batch exactly as it reduces that row alone.
+    The byte oracle test_merge_bytes_equal_per_group_loop checks it on
+    each numpy build.
     """
-    groups = match.groups
-    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
-    members = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64,
-                          count=int(sizes.sum()))
+    n = state.count
+    # (src, dst) columns; positions are exact in float64
+    src, dst = np.asarray(merges, dtype=np.float64).reshape(-1, 3)[:, :2].T.astype(np.int64)
+    keep = np.ones(n, dtype=bool)
+    keep[src] = False
+    if not keep[dst].all():
+        raise ValueError("a merge destination is itself merged away")
+    head = np.arange(n)  # the survivor each token ends up in
+    head[src] = dst
+    rows = (np.cumsum(keep) - 1)[head]  # survivors keep their position order
+    members = np.lexsort((np.arange(n), ~keep, rows))  # by row, survivor first, then position
+    sizes = np.bincount(rows, minlength=n - src.size)
     first = np.cumsum(sizes) - sizes
-    row_of = np.full(state.count + 1, -1, dtype=np.int64)  # last slot: pruned tubes
-    row_of[members] = np.repeat(np.arange(len(groups)), sizes)
     feats64 = state.features.astype(np.float64)
-    out_feats = np.empty((len(groups), feats64.shape[1]), dtype=np.float64)
-    out_mass = np.empty(len(groups), dtype=np.float64)
+    out_feats = np.empty((sizes.size, feats64.shape[1]), dtype=np.float64)
+    out_mass = np.empty(sizes.size, dtype=np.float64)
     for size in np.unique(sizes):
-        rows = np.flatnonzero(sizes == size)
-        idx = members[first[rows, None] + np.arange(size)]  # (groups, size)
+        group_rows = np.flatnonzero(sizes == size)
+        idx = members[first[group_rows, None] + np.arange(size)]  # (groups, size)
         w = masses[idx]
         total = w.sum(axis=1)
-        out_feats[rows] = (w[:, :, None] * feats64[idx]).sum(axis=1) / total[:, None]
-        out_mass[rows] = total
+        out_feats[group_rows] = (w[:, :, None] * feats64[idx]).sum(axis=1) / total[:, None]
+        out_mass[group_rows] = total
     return TokenState(
         features=out_feats.astype(np.float32),
         masses=out_mass,
-        owner=row_of[state.owner],
+        owner=np.append(rows, -1)[state.owner],  # -1, a pruned tube, reads the last slot
     )
 
 
-def tome_merge(state: TokenState, match: MatchResult) -> TokenState:
-    """Merge matched sources into destinations by mass-weighted mean.
+def tome_merge(state: TokenState, merges) -> TokenState:
+    """Merge each listed source into its destination by mass-weighted mean.
 
     Total mass is conserved: every token's mass ends up in some group.
     """
-    return _merge_with_masses(state, match, state.masses)
+    return _merge_with_masses(state, merges, state.masses)
 
 
-def vidtldr_merge(state: TokenState, match: MatchResult, updated_masses) -> TokenState:
+def vidtldr_merge(state: TokenState, merges, updated_masses) -> TokenState:
     """Merge with saliency-updated masses (from vidtldr_mass_update).
 
     Group features are means weighted by the updated masses and each
@@ -239,7 +208,7 @@ def vidtldr_merge(state: TokenState, match: MatchResult, updated_masses) -> Toke
         )
     if (masses < MASS_EPS * (1 - 1e-9)).any():
         raise ValueError("updated masses must respect the mass floor")
-    return _merge_with_masses(state, match, masses)
+    return _merge_with_masses(state, merges, masses)
 
 
 def prune_lowest(state: TokenState, scores, r: int) -> TokenState:

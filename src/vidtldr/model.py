@@ -303,7 +303,7 @@ def attention_forward(
         heads_out.append(numerics.matmul(p, v[:, sl]))
     merged_heads = np.concatenate(heads_out, axis=1)
     out = numerics.matmul(merged_heads, lw.wo)
-    new_features = (x.astype(np.float64) + out.astype(np.float64)).astype(np.float32)
+    new_features = x + out
     head_mean = probs.mean(axis=0, dtype=np.float64).astype(np.float32)
     maps = AttentionMaps(probs=probs, head_mean_probs=head_mean, keys=k)
     return state.with_features(new_features), maps
@@ -311,10 +311,9 @@ def attention_forward(
 
 def mlp_forward(features: np.ndarray, lw: LayerWeights) -> np.ndarray:
     """Pre-norm GELU MLP block with residual."""
-    xn = layer_norm(features)
-    hidden = gelu(numerics.matmul(xn, lw.w1))
-    out = numerics.matmul(hidden, lw.w2)
-    return (features.astype(np.float64) + out.astype(np.float64)).astype(np.float32)
+    x = numerics.as_matrix(features)
+    hidden = gelu(numerics.matmul(layer_norm(x), lw.w1))
+    return x + numerics.matmul(hidden, lw.w2)
 
 
 class Reducer(Protocol):
@@ -334,9 +333,7 @@ class TomeReducer:
     merging = True
 
     def reduce(self, state, maps, r, layer):
-        part = merging.bipartition(state.count)
-        match = merging.soft_match(maps.keys, part, r)
-        return merging.tome_merge(state, match)
+        return merging.tome_merge(state, merging.soft_match(maps.keys, r))
 
 
 class VidTldrReducer:
@@ -345,10 +342,9 @@ class VidTldrReducer:
     merging = True
 
     def reduce(self, state, maps, r, layer):
-        part = merging.bipartition(state.count)
-        match = merging.soft_match(maps.keys, part, r)
-        masses = merging.vidtldr_mass_update(state, part, maps.masked_saliency)
-        return merging.vidtldr_merge(state, match, masses)
+        merges = merging.soft_match(maps.keys, r)
+        masses = merging.vidtldr_mass_update(state, maps.masked_saliency)
+        return merging.vidtldr_merge(state, merges, masses)
 
 
 class PruneReducer:
@@ -402,7 +398,8 @@ def forward_clip(
     its MLP. costmodel.plan_schedule checks the schedule up front, with
     the floor(n/2) merge limit for a reducer whose ``merging`` is true.
     Proportional attention applies exactly when the reducer merges.
-    With no reducer, a nonzero schedule raises ValueError before the embed.
+    With no reducer, a nonzero schedule raises ValueError before the embed;
+    weights with other than cfg.layers layers raise it once either runs out.
     The ``sink``, if given, is called as ``sink(layer, maps)`` with each
     layer's AttentionMaps, at the n tokens it took in, once that layer's
     wall time is taken. It is the maps' one exit and their one lifetime:
@@ -416,7 +413,7 @@ def forward_clip(
     state = embed_clip(clip, spec, weights)
     tube_groups = spec.tube_frame_groups()
     traces = []
-    for layer, (lw, r) in enumerate(zip(weights.layers, full)):
+    for layer, (lw, r) in enumerate(zip(weights.layers, full, strict=True)):
         t0 = time.perf_counter()
         state, maps = attention_forward(
             state, lw, cfg, tube_groups, spec.n_groups, merges

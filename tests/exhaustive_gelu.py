@@ -1,8 +1,9 @@
 """Compare ``model.gelu`` with the scipy expression on every float32 input.
 
-Not collected by pytest (it takes minutes). Run from the repo root:
+Not collected by pytest (it takes minutes). It puts the repo's src/ on
+sys.path itself, so it runs from a plain checkout:
 
-    PYTHONPATH=src python tests/exhaustive_gelu.py
+    python tests/exhaustive_gelu.py
 
 It walks all 2**32 float32 bit patterns in chunks of 2**CHUNK_BITS,
 computes ``model.gelu`` and ``old_gelu`` (``0.5 * x * (1 + erf(x /
@@ -18,10 +19,13 @@ import math
 import platform
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import scipy
 from scipy.special import erf
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from vidtldr import model, numerics
 

@@ -20,11 +20,11 @@ gate asks for and produced the table in golden_sweep.json.
 
 Not collected by pytest: both gates over both seeds take about a
 minute. ``test_golden.py`` runs the first seed of the big set with the
-gate open and of the desk set with it closed. Run it from the repo
-root with
+gate open and of the desk set with it closed. It puts the repo's src/
+on sys.path itself, so it runs from a plain checkout:
 
-    PYTHONPATH=src python tests/golden_sweep.py            # check; exit 1 on a moved digest
-    PYTHONPATH=src python tests/golden_sweep.py --record   # rewrite golden_sweep.json
+    python tests/golden_sweep.py            # check; exit 1 on a moved digest
+    python tests/golden_sweep.py --record   # rewrite golden_sweep.json
 
 Re-record the table only for an intended output change, and list every
 moved entry with it.
@@ -43,6 +43,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from vidtldr.harness import runner
 from vidtldr.harness.config import MODES, parse_config_text

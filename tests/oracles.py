@@ -6,8 +6,8 @@ k. ``cosine_matrix`` is the reference cosine matrix built on it, the one
 ``numerics.cosine_argmax``, ``numerics._cosines`` and
 ``numerics.cosine_sim`` must reproduce. ``oracle_match`` and
 ``oracle_merge`` are the exhaustive matching and the per-group merge
-that ``merging`` is checked against. No oracle calls the kernel it
-checks.
+that ``merging`` is checked against; ``oracle_groups`` spells out the
+groups a merge list makes. No oracle calls the kernel it checks.
 """
 
 import numpy as np
@@ -41,27 +41,40 @@ def cosine_matrix(a, b) -> np.ndarray:
     return np.where(flat, 0.0, dots / np.where(flat, 1.0, na * nb))
 
 
-def oracle_match(keys, part, r):
-    """Exhaustive matching: score every src-dst pair, cut at r."""
+def oracle_match(keys, r):
+    """Exhaustive matching: score every odd (source) position against
+    every even (destination) one, cut at r."""
     keys = np.asarray(keys, dtype=np.float64)
     rows = []
-    for s in part.src_index:
+    for s in range(1, len(keys), 2):
         best_d, best_sim = None, None
-        for d in part.dst_index:
+        for d in range(0, len(keys), 2):
             sim = numerics.cosine_sim(keys[s], keys[d])
             if best_sim is None or sim > best_sim:
-                best_d, best_sim = int(d), sim
-        rows.append((int(s), best_d, best_sim))
+                best_d, best_sim = d, sim
+        rows.append((s, best_d, best_sim))
     rows.sort(key=lambda t: (-t[2], t[0]))
     return rows[:r]
 
 
-def oracle_merge(state, match, masses):
+def oracle_groups(n, merges):
+    """The groups a merge list makes of n tokens: one per token not merged
+    away, in position order, holding it and then its sources in
+    increasing position."""
+    members = {i: [i] for i in range(n)}
+    for s, d, _ in sorted(merges):
+        members[d].append(s)
+    for s, _, _ in merges:
+        del members[s]
+    return [tuple(members[i]) for i in sorted(members)]
+
+
+def oracle_merge(state, merges, masses):
     """Per-group weighted means, one numpy sum per group over its members
     in listed order: the merge must equal these bit for bit."""
     feats = state.features.astype(np.float64)
     out_f, out_m = [], []
-    for group in match.groups:
+    for group in oracle_groups(state.count, merges):
         idx = list(group)
         w = np.asarray([masses[i] for i in idx], dtype=np.float64)
         out_f.append((w[:, None] * feats[idx]).sum(axis=0) / w.sum())

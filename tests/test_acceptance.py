@@ -78,10 +78,9 @@ class UnitScoreMergeReducer:
     merging = True
 
     def reduce(self, state, maps, r, layer):
-        part = merging.bipartition(state.count)
-        match = merging.soft_match(maps.keys, part, r)
-        masses = merging.vidtldr_mass_update(state, part, np.ones(state.count))
-        return merging.vidtldr_merge(state, match, masses)
+        merges = merging.soft_match(maps.keys, r)
+        masses = merging.vidtldr_mass_update(state, np.ones(state.count))
+        return merging.vidtldr_merge(state, merges, masses)
 
 
 class RecordingTomeReducer:
@@ -92,9 +91,7 @@ class RecordingTomeReducer:
 
     def reduce(self, state, maps, r, layer):
         pre = float(state.masses.sum())
-        part = merging.bipartition(state.count)
-        match = merging.soft_match(maps.keys, part, r)
-        out = merging.tome_merge(state, match)
+        out = merging.tome_merge(state, merging.soft_match(maps.keys, r))
         self.events.append((pre, float(out.masses.sum())))
         return out
 
@@ -106,10 +103,9 @@ class RecordingVidTldrReducer:
         self.events = []
 
     def reduce(self, state, maps, r, layer):
-        part = merging.bipartition(state.count)
-        match = merging.soft_match(maps.keys, part, r)
-        masses = merging.vidtldr_mass_update(state, part, maps.masked_saliency)
-        out = merging.vidtldr_merge(state, match, masses)
+        merges = merging.soft_match(maps.keys, r)
+        masses = merging.vidtldr_mass_update(state, maps.masked_saliency)
+        out = merging.vidtldr_merge(state, merges, masses)
         self.events.append((float(masses.sum()), float(out.masses.sum())))
         return out
 
@@ -169,27 +165,26 @@ def test_criterion_03_matching_and_merge_oracles(capsys):
     for _ in range(500):
         n = int(rng.integers(2, 17))
         keys = rng.normal(size=(n, 5)).astype(np.float32)
-        part = merging.bipartition(n)
-        r = int(rng.integers(0, len(part.src_index) + 1))
-        match = merging.soft_match(keys, part, r)
-        expect = oracle_match(keys, part, r)
-        if [(s, d) for s, d, _ in match.merges] != [(s, d) for s, d, _ in expect]:
+        r = int(rng.integers(0, n // 2 + 1))
+        merges = merging.soft_match(keys, r)
+        expect = oracle_match(keys, r)
+        if [(s, d) for s, d, _ in merges] != [(s, d) for s, d, _ in expect]:
             mismatches += 1
             continue
 
         state = random_masses_state(rng, n, 6)
-        merged = merging.tome_merge(state, match)
-        of, om = oracle_merge(state, match, state.masses)
+        merged = merging.tome_merge(state, merges)
+        of, om = oracle_merge(state, merges, state.masses)
         max_err = max(max_err, float(np.abs(merged.features - of).max()))
         max_err = max(max_err, float(np.abs(merged.masses - om).max()))
 
         masked = rng.uniform(size=n)
-        updated = merging.vidtldr_mass_update(state, part, masked)
-        merged2 = merging.vidtldr_merge(state, match, updated)
+        updated = merging.vidtldr_mass_update(state, masked)
+        merged2 = merging.vidtldr_merge(state, merges, updated)
         m_oracle = state.masses.copy()
-        src = part.src_index
+        src = list(range(1, n, 2))
         m_oracle[src] = np.maximum(masked[src] * m_oracle[src], merging.MASS_EPS)
-        of2, om2 = oracle_merge(state, match, m_oracle)
+        of2, om2 = oracle_merge(state, merges, m_oracle)
         max_err = max(max_err, float(np.abs(merged2.features - of2).max()))
         max_err = max(max_err, float(np.abs(merged2.masses - om2).max()))
     ok = mismatches == 0 and max_err <= 1e-6

@@ -4,9 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import cosine_matrix, oracle_match, oracle_merge
+from oracles import cosine_matrix, oracle_groups, oracle_match, oracle_merge
 from vidtldr import merging, numerics
-from vidtldr.merging import MASS_EPS, Bipartition, TokenState
+from vidtldr.merging import MASS_EPS, TokenState
 
 
 def random_state(rng, n, width=6):
@@ -17,51 +17,42 @@ def random_state(rng, n, width=6):
     return TokenState(state.features, masses, state.owner)
 
 
-def parent_soft_match(keys, part, r):
+def parent_soft_match(keys, r):
     """soft_match as it was before cosine_argmax: the full cosine_matrix
-    and np.argmax. The new one must give the same merges and groups, bit
-    for bit."""
+    and np.argmax. The new one must give the same merge list, bit for
+    bit."""
     k = numerics.as_matrix(keys)
-    dst = np.asarray(part.dst_index, dtype=np.int64)
-    src = np.asarray(part.src_index, dtype=np.int64)
+    dst = np.arange(0, k.shape[0], 2)
+    src = np.arange(1, k.shape[0], 2)
     sims = cosine_matrix(k[src], k[dst])
     j = np.argmax(sims, axis=1)
     scores = sims[np.arange(src.shape[0]), j]
     best = dst[j]
     chosen = np.lexsort((src, -scores))[:r]
-    merges = tuple((int(src[i]), int(best[i]), float(scores[i])) for i in chosen)
-    keep = np.ones(k.shape[0], dtype=bool)
-    keep[src[chosen]] = False
-    members = [[i] for i in range(k.shape[0])]
-    for s, d, _ in sorted(merges):
-        members[d].append(s)
-    groups = tuple(tuple(members[i]) for i in np.flatnonzero(keep))
-    return merging.MatchResult(merges=merges, groups=groups)
+    return tuple((int(src[i]), int(best[i]), float(scores[i])) for i in chosen)
 
 
-def test_bipartition_alternation():
-    p4 = merging.bipartition(4)
-    assert_array_equal(p4.dst_index, [0, 2])
-    assert_array_equal(p4.src_index, [1, 3])
-    p5 = merging.bipartition(5)
-    assert_array_equal(p5.dst_index, [0, 2, 4])
-    assert_array_equal(p5.src_index, [1, 3])
-    p2 = merging.bipartition(2)
-    assert len(p2.dst_index) == 1 and len(p2.src_index) == 1
+def test_soft_match_even_positions_are_destinations():
+    rng = numerics.make_rng(3)
+    for n in range(2, 12):
+        merges = merging.soft_match(rng.normal(size=(n, 3)).astype(np.float32), n // 2)
+        assert sorted(s for s, _, _ in merges) == list(range(1, n, 2))
+        assert all(d % 2 == 0 and d < n for _, d, _ in merges)
 
 
-def test_bipartition_too_small():
-    with pytest.raises(ValueError):
-        merging.bipartition(1)
+def test_soft_match_too_few_tokens():
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 tokens"):
+            merging.soft_match(np.zeros((n, 2), dtype=np.float32), 0)
 
 
 def test_soft_match_r_zero_identity():
     rng = numerics.make_rng(1)
     keys = rng.normal(size=(6, 4)).astype(np.float32)
-    match = merging.soft_match(keys, merging.bipartition(6), 0)
-    assert match.merges == ()
-    assert len(match.groups) == 6
-    assert all(len(g) == 1 for g in match.groups)
+    merges = merging.soft_match(keys, 0)
+    assert merges == ()
+    out = merging.tome_merge(merging.new_state(keys), merges)
+    assert out.provenance == tuple((i,) for i in range(6))
 
 
 def test_soft_match_duplicate_pairs():
@@ -69,9 +60,9 @@ def test_soft_match_duplicate_pairs():
     keys = np.array(
         [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], dtype=np.float32
     )
-    match = merging.soft_match(keys, merging.bipartition(4), 2)
-    assert set((s, d) for s, d, _ in match.merges) == {(1, 0), (3, 2)}
-    for _, _, sim in match.merges:
+    merges = merging.soft_match(keys, 2)
+    assert set((s, d) for s, d, _ in merges) == {(1, 0), (3, 2)}
+    for _, _, sim in merges:
         assert sim == pytest.approx(1.0, abs=1e-12)
 
 
@@ -80,12 +71,11 @@ def test_soft_match_equals_exhaustive_oracle():
     for _ in range(60):
         n = int(rng.integers(2, 17))
         keys = rng.normal(size=(n, 5)).astype(np.float32)
-        part = merging.bipartition(n)
-        r = int(rng.integers(0, len(part.src_index) + 1))
-        match = merging.soft_match(keys, part, r)
-        expect = oracle_match(keys, part, r)
-        assert len(match.merges) == r
-        for (s, d, sim), (es, ed, esim) in zip(match.merges, expect):
+        r = int(rng.integers(0, n // 2 + 1))
+        merges = merging.soft_match(keys, r)
+        expect = oracle_match(keys, r)
+        assert len(merges) == r
+        for (s, d, sim), (es, ed, esim) in zip(merges, expect):
             assert (s, d) == (es, ed)
             assert sim == pytest.approx(esim, abs=1e-12)
 
@@ -131,53 +121,50 @@ def test_soft_match_bytes_equal_parent(n, width, seed, kinds, data):
     keys = pool[rng.integers(0, len(pool), size=n)]  # rows repeat on both sides
     if data.draw(st.booleans()):
         keys = np.round(keys * 4)  # integer keys
-    part = merging.bipartition(n)
-    r = data.draw(st.integers(0, len(part.src_index)))
-    got, want = merging.soft_match(keys, part, r), parent_soft_match(keys, part, r)
-    assert got.groups == want.groups
-    assert [(s, d) for s, d, _ in got.merges] == [(s, d) for s, d, _ in want.merges]
-    assert np.float64([v for *_, v in got.merges]).tobytes() == np.float64([v for *_, v in want.merges]).tobytes()
+    r = data.draw(st.integers(0, n // 2))
+    got, want = merging.soft_match(keys, r), parent_soft_match(keys, r)
+    assert [(s, d) for s, d, _ in got] == [(s, d) for s, d, _ in want]
+    assert np.float64([v for *_, v in got]).tobytes() == np.float64([v for *_, v in want]).tobytes()
 
 
 def test_soft_match_score_tie_prefers_lower_src():
     # both sources score 1.0 against dst 0; only one may merge
     keys = np.array([[2.0, 0.0], [1.0, 0.0], [0.0, 5.0], [1.0, 0.0]], dtype=np.float32)
-    match = merging.soft_match(keys, merging.bipartition(4), 1)
-    assert match.merges[0][:2] == (1, 0)
+    assert merging.soft_match(keys, 1)[0][:2] == (1, 0)
 
 
 def test_soft_match_dst_tie_prefers_lower_dst():
     # src 1 is equally similar to dst 0 and dst 2
     keys = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
-    match = merging.soft_match(keys, merging.bipartition(4), 1)
-    assert match.merges[0][:2] == (1, 0)
+    assert merging.soft_match(keys, 1)[0][:2] == (1, 0)
 
 
 def test_soft_match_rejects_bad_r():
     keys = np.zeros((4, 2), dtype=np.float32)
-    part = merging.bipartition(4)
     with pytest.raises(ValueError):
-        merging.soft_match(keys, part, 3)
+        merging.soft_match(keys, 3)
     with pytest.raises(ValueError):
-        merging.soft_match(keys, part, -1)
+        merging.soft_match(keys, -1)
 
 
 def test_match_bookkeeping_counts():
     rng = numerics.make_rng(29)
     for _ in range(20):
         n = int(rng.integers(2, 17))
-        part = merging.bipartition(n)
-        r = int(rng.integers(0, len(part.src_index) + 1))
-        match = merging.soft_match(rng.normal(size=(n, 3)).astype(np.float32), part, r)
-        assert len(match.groups) == n - r
-        covered = sorted(i for g in match.groups for i in g)
+        r = int(rng.integers(0, n // 2 + 1))
+        keys = rng.normal(size=(n, 3)).astype(np.float32)
+        merges = merging.soft_match(keys, r)
+        groups = oracle_groups(n, merges)
+        assert len(groups) == n - r
+        covered = sorted(i for g in groups for i in g)
         assert covered == list(range(n))
+        out = merging.tome_merge(merging.new_state(keys), merges)
+        assert out.provenance == tuple(tuple(sorted(g)) for g in groups)
 
 
 def test_tome_merge_plain_average():
     state = merging.new_state(np.array([[2.0, 0.0], [4.0, 2.0]], dtype=np.float32))
-    match = merging.soft_match(state.features, merging.bipartition(2), 1)
-    out = merging.tome_merge(state, match)
+    out = merging.tome_merge(state, merging.soft_match(state.features, 1))
     assert out.count == 1
     assert_allclose(out.features, [[3.0, 1.0]], rtol=0, atol=0)
     assert out.masses[0] == 2.0
@@ -192,8 +179,7 @@ def test_tome_merge_weighted_mean():
         masses=np.array([3.0, 1.0]),
         owner=np.arange(2),
     )
-    match = merging.soft_match(state.features, merging.bipartition(2), 1)
-    out = merging.tome_merge(state, match)
+    out = merging.tome_merge(state, merging.soft_match(state.features, 1))
     assert_allclose(out.features[0], (3 * a + b) / 4, rtol=0, atol=1e-7)
     assert out.masses[0] == 4.0
 
@@ -203,11 +189,10 @@ def test_tome_merge_matches_oracle_and_conserves_mass():
     for _ in range(40):
         n = int(rng.integers(2, 17))
         state = random_state(rng, n)
-        part = merging.bipartition(n)
-        r = int(rng.integers(0, len(part.src_index) + 1))
-        match = merging.soft_match(state.features, part, r)
-        out = merging.tome_merge(state, match)
-        ef, em = oracle_merge(state, match, state.masses)
+        r = int(rng.integers(0, n // 2 + 1))
+        merges = merging.soft_match(state.features, r)
+        out = merging.tome_merge(state, merges)
+        ef, em = oracle_merge(state, merges, state.masses)
         assert out.features.tobytes() == ef.astype(np.float32).tobytes()
         assert out.masses.tobytes() == em.tobytes()
         assert out.masses.sum() == pytest.approx(state.masses.sum(), abs=1e-5)
@@ -216,8 +201,7 @@ def test_tome_merge_matches_oracle_and_conserves_mass():
 def test_mass_update_all_ones_is_identity():
     rng = numerics.make_rng(37)
     state = random_state(rng, 8)
-    part = merging.bipartition(8)
-    updated = merging.vidtldr_mass_update(state, part, np.ones(8))
+    updated = merging.vidtldr_mass_update(state, np.ones(8))
     assert_array_equal(updated, state.masses)
 
 
@@ -227,7 +211,7 @@ def test_mass_update_floor():
         masses=np.array([1.0, 4.0]),
         owner=np.arange(2),
     )
-    updated = merging.vidtldr_mass_update(state, merging.bipartition(2), [0.7, 0.0])
+    updated = merging.vidtldr_mass_update(state, [0.7, 0.0])
     assert updated[0] == 1.0          # dst untouched, its score ignored
     assert updated[1] == MASS_EPS
 
@@ -239,27 +223,24 @@ def test_mass_update_mixed_hand_case():
         owner=np.arange(4),
     )
     shat = np.array([0.4, 0.5, 0.9, 1.0])
-    updated = merging.vidtldr_mass_update(state, merging.bipartition(4), shat)
+    updated = merging.vidtldr_mass_update(state, shat)
     assert_array_equal(updated, [1.0, 1.0, 1.0, 2.0])
 
 
 def test_mass_update_rejects_out_of_range_scores():
     state = merging.new_state(np.zeros((4, 2), dtype=np.float32))
-    part = merging.bipartition(4)
     with pytest.raises(ValueError):
-        merging.vidtldr_mass_update(state, part, [0.5, -0.1, 0.5, 0.5])
+        merging.vidtldr_mass_update(state, [0.5, -0.1, 0.5, 0.5])
     with pytest.raises(ValueError):
-        merging.vidtldr_mass_update(state, part, [0.5, 1.5, 0.5, 0.5])
+        merging.vidtldr_mass_update(state, [0.5, 1.5, 0.5, 0.5])
 
 
 def test_vidtldr_merge_singleton_groups_keep_features():
     rng = numerics.make_rng(41)
     state = random_state(rng, 6)
-    match = merging.soft_match(state.features, merging.bipartition(6), 0)
-    masses = merging.vidtldr_mass_update(
-        state, merging.bipartition(6), rng.uniform(size=6)
-    )
-    out = merging.vidtldr_merge(state, match, masses)
+    merges = merging.soft_match(state.features, 0)
+    masses = merging.vidtldr_mass_update(state, rng.uniform(size=6))
+    out = merging.vidtldr_merge(state, merges, masses)
     assert_array_equal(out.features, state.features)
     assert_array_equal(out.masses, masses)
 
@@ -268,10 +249,9 @@ def test_vidtldr_merge_suppressed_source_vanishes():
     a = np.array([5.0, -1.0], dtype=np.float32)
     b = np.array([100.0, 100.0], dtype=np.float32)
     state = merging.new_state(np.stack([a, b]))
-    part = merging.bipartition(2)
-    match = merging.soft_match(state.features, part, 1)
-    masses = merging.vidtldr_mass_update(state, part, np.array([1.0, 0.0]))
-    out = merging.vidtldr_merge(state, match, masses)
+    merges = merging.soft_match(state.features, 1)
+    masses = merging.vidtldr_mass_update(state, np.array([1.0, 0.0]))
+    out = merging.vidtldr_merge(state, merges, masses)
     assert_allclose(out.features[0], a, rtol=0, atol=1e-3)
     assert out.masses[0] == pytest.approx(1.0 + MASS_EPS, abs=1e-12)
 
@@ -281,27 +261,27 @@ def test_vidtldr_merge_matches_oracle():
     for _ in range(40):
         n = int(rng.integers(2, 17))
         state = random_state(rng, n)
-        part = merging.bipartition(n)
-        r = int(rng.integers(0, len(part.src_index) + 1))
-        match = merging.soft_match(state.features, part, r)
-        masses = merging.vidtldr_mass_update(state, part, rng.uniform(size=n))
-        out = merging.vidtldr_merge(state, match, masses)
-        ef, em = oracle_merge(state, match, masses)
+        r = int(rng.integers(0, n // 2 + 1))
+        merges = merging.soft_match(state.features, r)
+        masses = merging.vidtldr_mass_update(state, rng.uniform(size=n))
+        out = merging.vidtldr_merge(state, merges, masses)
+        ef, em = oracle_merge(state, merges, masses)
         assert out.features.tobytes() == ef.astype(np.float32).tobytes()
         assert out.masses.tobytes() == em.tobytes()
         assert out.masses.sum() == pytest.approx(masses.sum(), abs=1e-5)
 
 
-def _random_groups(rng, n, largest):
-    """A partition of range(n) into groups of 1..largest members: a random
-    survivor first, then its sources in increasing position."""
+def _random_merges(rng, n, largest):
+    """A merge list that cuts range(n) into groups of 1..largest members
+    around a random survivor each, in a random order and with random
+    similarities."""
     perm = rng.permutation(n).tolist()
-    groups = []
+    merges = []
     while perm:
         size = int(rng.integers(1, largest + 1))
         head, perm = perm[:size], perm[size:]
-        groups.append((head[0], *sorted(head[1:])))
-    return tuple(groups)
+        merges.extend((s, head[0]) for s in head[1:])
+    return tuple((s, d, float(rng.uniform(-1, 1))) for s, d in rng.permutation(merges).tolist())
 
 
 @settings(max_examples=200, deadline=None)
@@ -321,14 +301,14 @@ def test_merge_bytes_equal_per_group_loop(n, width, largest, seed):
     feats[rng.random(feats.shape) < 0.2] = -0.0
     masses = MASS_EPS * 10.0 ** rng.uniform(0, 12, size=n)  # 12 decades
     state = TokenState(numerics.as_matrix(feats), masses, np.arange(n, dtype=np.int64))
-    match = merging.MatchResult(merges=(), groups=_random_groups(rng, n, largest))
+    merges = _random_merges(rng, n, largest)
     updated = MASS_EPS * 10.0 ** rng.uniform(0, 12, size=n)
-    for out, w in [(merging.tome_merge(state, match), masses),
-                   (merging.vidtldr_merge(state, match, updated), updated)]:
-        ef, em = oracle_merge(state, match, w)
+    for out, w in [(merging.tome_merge(state, merges), masses),
+                   (merging.vidtldr_merge(state, merges, updated), updated)]:
+        ef, em = oracle_merge(state, merges, w)
         assert out.features.tobytes() == ef.astype(np.float32).tobytes()
         assert out.masses.tobytes() == em.tobytes()
-        assert out.provenance == oracle_merge_tubes(state.provenance, match)
+        assert out.provenance == oracle_merge_tubes(state.provenance, merges)
 
 
 def test_shat_one_degenerates_to_tome():
@@ -336,12 +316,11 @@ def test_shat_one_degenerates_to_tome():
     for _ in range(20):
         n = int(rng.integers(2, 17))
         state = random_state(rng, n)
-        part = merging.bipartition(n)
-        r = int(rng.integers(0, len(part.src_index) + 1))
-        match = merging.soft_match(state.features, part, r)
-        masses = merging.vidtldr_mass_update(state, part, np.ones(n))
-        a = merging.vidtldr_merge(state, match, masses)
-        b = merging.tome_merge(state, match)
+        r = int(rng.integers(0, n // 2 + 1))
+        merges = merging.soft_match(state.features, r)
+        masses = merging.vidtldr_mass_update(state, np.ones(n))
+        a = merging.vidtldr_merge(state, merges, masses)
+        b = merging.tome_merge(state, merges)
         assert_array_equal(a.features, b.features)
         assert_array_equal(a.masses, b.masses)
         assert a.provenance == b.provenance
@@ -349,9 +328,19 @@ def test_shat_one_degenerates_to_tome():
 
 def test_vidtldr_merge_rejects_floor_violation():
     state = merging.new_state(np.zeros((4, 2), dtype=np.float32))
-    match = merging.soft_match(state.features, merging.bipartition(4), 0)
+    merges = merging.soft_match(state.features, 0)
     with pytest.raises(ValueError):
-        merging.vidtldr_merge(state, match, np.array([1.0, 0.0, 1.0, 1.0]))
+        merging.vidtldr_merge(state, merges, np.array([1.0, 0.0, 1.0, 1.0]))
+
+
+def test_merge_rejects_chained_destination():
+    state = merging.new_state(np.arange(8, dtype=np.float32).reshape(4, 2))
+    for merges in [((1, 0, 0.5), (0, 2, 0.5)),   # destination 0 merges on into 2
+                   ((3, 1, 0.5), (1, 0, 0.5))]:  # source 1 is also a destination
+        with pytest.raises(ValueError, match="merged away"):
+            merging.tome_merge(state, merges)
+        with pytest.raises(ValueError, match="merged away"):
+            merging.vidtldr_merge(state, merges, state.masses)
 
 
 def test_prune_identity_and_hand_case():
@@ -414,9 +403,10 @@ def test_with_features_guards_count():
         state.with_features(np.zeros((2, 2), dtype=np.float32))
 
 
-def oracle_merge_tubes(prov, match):
+def oracle_merge_tubes(prov, merges):
     """Tuple bookkeeping: each group's tubes are the sorted union of its members'."""
-    return tuple(tuple(sorted(t for m in group for t in prov[m])) for group in match.groups)
+    return tuple(tuple(sorted(t for m in group for t in prov[m]))
+                 for group in oracle_groups(len(prov), merges))
 
 
 def oracle_prune_tubes(prov, scores, r):
@@ -458,13 +448,12 @@ def test_owner_map_property_equals_tuple_oracle(n_tubes, seed, data):
             scores = data.draw(st.lists(SCORES, min_size=n, max_size=n))
             state, prov = merging.prune_lowest(state, scores, r), oracle_prune_tubes(prov, scores, r)
         else:
-            part = merging.bipartition(n)
-            r = data.draw(st.integers(0, len(part.src_index)))
-            match = merging.soft_match(rng.normal(size=(n, 3)).astype(np.float32), part, r)
+            r = data.draw(st.integers(0, n // 2))
+            merges = merging.soft_match(rng.normal(size=(n, 3)).astype(np.float32), r)
             if op == "tome":
-                state = merging.tome_merge(state, match)
+                state = merging.tome_merge(state, merges)
             else:
-                masses = merging.vidtldr_mass_update(state, part, rng.uniform(size=n))
-                state = merging.vidtldr_merge(state, match, masses)
-            prov = oracle_merge_tubes(prov, match)
+                masses = merging.vidtldr_mass_update(state, rng.uniform(size=n))
+                state = merging.vidtldr_merge(state, merges, masses)
+            prov = oracle_merge_tubes(prov, merges)
         assert_owner_map_matches(state, prov, n_tubes, per_tube)

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import erf
 
@@ -331,6 +333,30 @@ def test_mlp_matches_hand_computation():
     assert_allclose(model.mlp_forward(x, lw), expect, rtol=0, atol=1e-6)
 
 
+FLT_MAX = float(np.finfo(np.float32).max)
+# ±0, the subnormal and normal edges and the largest finites, where a
+# float32 sum rounds to infinity.
+ADD_EDGES = [0.0, -0.0, 1e-45, -1e-45, 1.1754942e-38, -1.1754942e-38, 1.1754944e-38,
+             FLT_MAX, -FLT_MAX, float(np.nextafter(np.float32(FLT_MAX), np.float32(0))),
+             1.7014118e38, -1.7014118e38]
+ADD_OPERANDS = st.one_of(st.sampled_from(ADD_EDGES),
+                         st.floats(width=32, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=500, deadline=None)
+@given(pairs=st.lists(st.tuples(ADD_OPERANDS, ADD_OPERANDS), min_size=1, max_size=64))
+@example(pairs=[(FLT_MAX, FLT_MAX), (FLT_MAX, 1.0141205e31), (FLT_MAX, 1.0141204e31),
+                (-FLT_MAX, -1.0141205e31), (1e-45, -1e-45), (-0.0, -0.0), (-0.0, 0.0)])
+def test_residual_add_bytes_equal_float64_round_trip(pairs):
+    # A float32 sum is the float64 sum rounded to float32: the residual
+    # adds of attention_forward and mlp_forward rely on it.
+    a, b = np.array(pairs, dtype=np.float32).T
+    with np.errstate(over="ignore"):
+        assert (a + b).tobytes() == (
+            (a.astype(np.float64) + b.astype(np.float64)).astype(np.float32).tobytes()
+        )
+
+
 def test_forward_zero_schedule_matches_trajectory():
     cfg, clip, weights = small_setup(23)
     res = model.forward_clip(clip, SMALL, cfg, weights, [], None)
@@ -371,6 +397,16 @@ def test_forward_infeasible_schedule():
     assert res.final_state.count == 3
     with pytest.raises(ValueError):
         model.forward_clip(clip, SMALL, cfg, weights, [1] * 4, model.TomeReducer())
+
+
+@pytest.mark.parametrize("depth", [2, 4])
+def test_forward_rejects_weights_of_another_depth(depth):
+    cfg, clip, _ = small_setup(43)  # 3 layers
+    weights = model.init_weights(dataclasses.replace(cfg, layers=depth), SMALL, 44)
+    with pytest.raises(ValueError):
+        model.forward_clip(clip, SMALL, cfg, weights, [], None)
+    with pytest.raises(ValueError):
+        model.forward_clip(clip, SMALL, cfg, weights, [2], model.TomeReducer())
 
 
 def test_forward_deterministic(monkeypatch):

@@ -236,7 +236,7 @@ def test_config_and_forward_clip_share_the_merge_limit(tmp_path, mode):
     assert config_rejects == infeasible == (mode in ("tome", "vidtldr"))
 
 
-def test_compute_frame_ratios_shape(tmp_path):
+def test_clean_forward_frame_ratios_shape(tmp_path):
     cfg = make_cfg(tmp_path, mode="baseline", schedule="")
     res = runner.run(cfg)
     _, _, ratios = runner.clean_forward(cfg)
