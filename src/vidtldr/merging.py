@@ -15,9 +15,10 @@ bits of an argmax over the full k-ordered cosine matrix. A match is its
 merge list of (src, dst, similarity) triples, and both merges derive
 each group from it. Merging is a mass-weighted mean: one numpy
 expression per group, batched over all groups of the same size.
-The saliency-aware variant first rescales every source token's mass by
-its saliency score (merged or not), so background sources barely
-contribute to merged features and carry almost no mass forward.
+The saliency-aware merge takes the layer's masked saliency and first
+rescales every source token's mass by its score (merged or not), so
+background sources barely contribute to merged features and carry
+almost no mass forward; that mass rule lives in ``vidtldr_merge`` alone.
 """
 
 from __future__ import annotations
@@ -122,26 +123,6 @@ def soft_match(keys, r: int) -> tuple[tuple[int, int, float], ...]:
     return tuple((int(src[i]), int(2 * j[i]), float(scores[i])) for i in chosen)
 
 
-def vidtldr_mass_update(state: TokenState, masked) -> np.ndarray:
-    """Saliency-rescaled masses: every source token's mass becomes
-    max(saliency * mass, MASS_EPS); destination masses are untouched.
-
-    Applies to all sources (odd positions), merged or not, so a
-    suppressed unmerged source carries an eps mass into later layers
-    (merge-and-prune in one mechanism).
-    """
-    s = np.asarray(masked, dtype=np.float64).reshape(-1)
-    if s.shape[0] != state.count:
-        raise ValueError(
-            f"saliency length {s.shape[0]} differs from token count {state.count}"
-        )
-    if (s < 0).any() or (s > 1 + 1e-9).any():
-        raise ValueError("masked saliency must lie in [0, 1]")
-    out = state.masses.copy()
-    out[1::2] = np.maximum(out[1::2] * s[1::2], MASS_EPS)
-    return out
-
-
 def _merge_with_masses(state: TokenState, merges, masses: np.ndarray) -> TokenState:
     """Shared merge core: mass-weighted means over the groups of a merge list.
 
@@ -193,21 +174,26 @@ def tome_merge(state: TokenState, merges) -> TokenState:
     return _merge_with_masses(state, merges, state.masses)
 
 
-def vidtldr_merge(state: TokenState, merges, updated_masses) -> TokenState:
-    """Merge with saliency-updated masses (from vidtldr_mass_update).
+def vidtldr_merge(state: TokenState, merges, masked) -> TokenState:
+    """Merge with masses rescaled by the masked saliency ``masked``.
 
-    Group features are means weighted by the updated masses and each
-    merged token's mass is the group's updated-mass sum, so the total
-    of the output masses equals the total of the updated masses, not
-    the original ones: background mass is deliberately discarded.
+    Every source token's mass (odd positions) becomes
+    max(saliency * mass, MASS_EPS); destination masses are untouched.
+    The rule applies to all sources, merged or not, so a suppressed
+    unmerged source carries an eps mass into later layers
+    (merge-and-prune in one mechanism). Group features are means
+    weighted by the rescaled masses and each merged token's mass is its
+    group's rescaled-mass sum: background mass is deliberately discarded.
     """
-    masses = np.asarray(updated_masses, dtype=np.float64).reshape(-1)
-    if masses.shape[0] != state.count:
+    s = np.asarray(masked, dtype=np.float64).reshape(-1)
+    if s.shape[0] != state.count:
         raise ValueError(
-            f"mass vector length {masses.shape[0]} differs from token count {state.count}"
+            f"saliency length {s.shape[0]} differs from token count {state.count}"
         )
-    if (masses < MASS_EPS * (1 - 1e-9)).any():
-        raise ValueError("updated masses must respect the mass floor")
+    if (s < 0).any() or (s > 1 + 1e-9).any():
+        raise ValueError("masked saliency must lie in [0, 1]")
+    masses = state.masses.copy()
+    masses[1::2] = np.maximum(masses[1::2] * s[1::2], MASS_EPS)
     return _merge_with_masses(state, merges, masses)
 
 

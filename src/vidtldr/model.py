@@ -342,9 +342,7 @@ class VidTldrReducer:
     merging = True
 
     def reduce(self, state, maps, r, layer):
-        merges = merging.soft_match(maps.keys, r)
-        masses = merging.vidtldr_mass_update(state, maps.masked_saliency)
-        return merging.vidtldr_merge(state, merges, masses)
+        return merging.vidtldr_merge(state, merging.soft_match(maps.keys, r), maps.masked_saliency)
 
 
 class PruneReducer:

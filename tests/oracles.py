@@ -7,12 +7,14 @@ k. ``cosine_matrix`` is the reference cosine matrix built on it, the one
 ``numerics.cosine_sim`` must reproduce. ``oracle_match`` and
 ``oracle_merge`` are the exhaustive matching and the per-group merge
 that ``merging`` is checked against; ``oracle_groups`` spells out the
-groups a merge list makes. No oracle calls the kernel it checks.
+groups a merge list makes, and ``oracle_mass_update`` the masses
+vid-TLDR's merge weights them by. No oracle calls the kernel it checks.
 """
 
 import numpy as np
 
 from vidtldr import numerics
+from vidtldr.merging import MASS_EPS
 
 
 def k_ordered_sum(a64: np.ndarray, b64: np.ndarray) -> np.ndarray:
@@ -67,6 +69,14 @@ def oracle_groups(n, merges):
     for s, _, _ in merges:
         del members[s]
     return [tuple(members[i]) for i in sorted(members)]
+
+
+def oracle_mass_update(masses, masked):
+    """vid-TLDR's mass rule, one token at a time: each source (odd
+    position) mass becomes max(saliency * mass, MASS_EPS), and each
+    destination (even position) mass stays as it is."""
+    return np.array([max(float(s) * float(m), MASS_EPS) if i % 2 else float(m)
+                     for i, (m, s) in enumerate(zip(masses, masked))])
 
 
 def oracle_merge(state, merges, masses):

@@ -12,7 +12,7 @@ import csv
 
 import numpy as np
 
-from oracles import oracle_match, oracle_merge
+from oracles import oracle_mass_update, oracle_match, oracle_merge
 from vidtldr import costmodel, merging, numerics, saliency
 from vidtldr.harness import runner
 from vidtldr.harness.clips import PATTERNS, synth_clip
@@ -78,9 +78,7 @@ class UnitScoreMergeReducer:
     merging = True
 
     def reduce(self, state, maps, r, layer):
-        merges = merging.soft_match(maps.keys, r)
-        masses = merging.vidtldr_mass_update(state, np.ones(state.count))
-        return merging.vidtldr_merge(state, merges, masses)
+        return merging.vidtldr_merge(state, merging.soft_match(maps.keys, r), np.ones(state.count))
 
 
 class RecordingTomeReducer:
@@ -103,9 +101,8 @@ class RecordingVidTldrReducer:
         self.events = []
 
     def reduce(self, state, maps, r, layer):
-        merges = merging.soft_match(maps.keys, r)
-        masses = merging.vidtldr_mass_update(state, maps.masked_saliency)
-        out = merging.vidtldr_merge(state, merges, masses)
+        masses = oracle_mass_update(state.masses, maps.masked_saliency)
+        out = merging.vidtldr_merge(state, merging.soft_match(maps.keys, r), maps.masked_saliency)
         self.events.append((float(masses.sum()), float(out.masses.sum())))
         return out
 
@@ -179,12 +176,8 @@ def test_criterion_03_matching_and_merge_oracles(capsys):
         max_err = max(max_err, float(np.abs(merged.masses - om).max()))
 
         masked = rng.uniform(size=n)
-        updated = merging.vidtldr_mass_update(state, masked)
-        merged2 = merging.vidtldr_merge(state, merges, updated)
-        m_oracle = state.masses.copy()
-        src = list(range(1, n, 2))
-        m_oracle[src] = np.maximum(masked[src] * m_oracle[src], merging.MASS_EPS)
-        of2, om2 = oracle_merge(state, merges, m_oracle)
+        merged2 = merging.vidtldr_merge(state, merges, masked)
+        of2, om2 = oracle_merge(state, merges, oracle_mass_update(state.masses, masked))
         max_err = max(max_err, float(np.abs(merged2.features - of2).max()))
         max_err = max(max_err, float(np.abs(merged2.masses - om2).max()))
     ok = mismatches == 0 and max_err <= 1e-6

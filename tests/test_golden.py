@@ -26,9 +26,10 @@ forced each way. Two tests here check its first seed against its table,
 golden_sweep.json: the big set on the concurrent path, and the desk set
 on the serial path.
 
-Regenerate the table (only for an intended output change) with
+It puts the repo's src/ on sys.path itself, so it runs from a plain
+checkout. Regenerate the table (only for an intended output change) with
 
-    PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
+    python tests/test_golden.py > tests/golden_digests.json
 """
 
 import csv
@@ -42,6 +43,8 @@ import tempfile
 from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from vidtldr.harness import runner
 from vidtldr.harness.config import MODES, PATTERNS, parse_config_text

@@ -4,7 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import cosine_matrix, oracle_groups, oracle_match, oracle_merge
+from oracles import (
+    cosine_matrix,
+    oracle_groups,
+    oracle_mass_update,
+    oracle_match,
+    oracle_merge,
+)
 from vidtldr import merging, numerics
 from vidtldr.merging import MASS_EPS, TokenState
 
@@ -201,7 +207,7 @@ def test_tome_merge_matches_oracle_and_conserves_mass():
 def test_mass_update_all_ones_is_identity():
     rng = numerics.make_rng(37)
     state = random_state(rng, 8)
-    updated = merging.vidtldr_mass_update(state, np.ones(8))
+    updated = merging.vidtldr_merge(state, (), np.ones(8)).masses
     assert_array_equal(updated, state.masses)
 
 
@@ -211,7 +217,7 @@ def test_mass_update_floor():
         masses=np.array([1.0, 4.0]),
         owner=np.arange(2),
     )
-    updated = merging.vidtldr_mass_update(state, [0.7, 0.0])
+    updated = merging.vidtldr_merge(state, (), [0.7, 0.0]).masses
     assert updated[0] == 1.0          # dst untouched, its score ignored
     assert updated[1] == MASS_EPS
 
@@ -223,26 +229,43 @@ def test_mass_update_mixed_hand_case():
         owner=np.arange(4),
     )
     shat = np.array([0.4, 0.5, 0.9, 1.0])
-    updated = merging.vidtldr_mass_update(state, shat)
+    updated = merging.vidtldr_merge(state, (), shat).masses
     assert_array_equal(updated, [1.0, 1.0, 1.0, 2.0])
 
 
 def test_mass_update_rejects_out_of_range_scores():
     state = merging.new_state(np.zeros((4, 2), dtype=np.float32))
     with pytest.raises(ValueError):
-        merging.vidtldr_mass_update(state, [0.5, -0.1, 0.5, 0.5])
+        merging.vidtldr_merge(state, (), [0.5, -0.1, 0.5, 0.5])
     with pytest.raises(ValueError):
-        merging.vidtldr_mass_update(state, [0.5, 1.5, 0.5, 0.5])
+        merging.vidtldr_merge(state, (), [0.5, 1.5, 0.5, 0.5])
+
+
+def test_vidtldr_merge_rejects_wrong_length_saliency():
+    state = merging.new_state(np.arange(8, dtype=np.float32).reshape(4, 2))
+    merges = merging.soft_match(state.features, 2)
+    for masked in (np.ones(3), np.ones(5)):
+        with pytest.raises(ValueError, match="saliency length"):
+            merging.vidtldr_merge(state, merges, masked)
+
+
+def test_vidtldr_merge_rejects_out_of_range_saliency():
+    state = merging.new_state(np.arange(8, dtype=np.float32).reshape(4, 2))
+    merges = merging.soft_match(state.features, 2)
+    for bad in (-0.1, 1.5):  # 1.5 is a valid mass, but no saliency
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            merging.vidtldr_merge(state, merges, [0.5, bad, 0.5, 0.5])
+    merging.vidtldr_merge(state, merges, [1.0, 0.0, 0.0, 1.0])  # both ends are in range
 
 
 def test_vidtldr_merge_singleton_groups_keep_features():
     rng = numerics.make_rng(41)
     state = random_state(rng, 6)
     merges = merging.soft_match(state.features, 0)
-    masses = merging.vidtldr_mass_update(state, rng.uniform(size=6))
-    out = merging.vidtldr_merge(state, merges, masses)
+    masked = rng.uniform(size=6)
+    out = merging.vidtldr_merge(state, merges, masked)
     assert_array_equal(out.features, state.features)
-    assert_array_equal(out.masses, masses)
+    assert_array_equal(out.masses, oracle_mass_update(state.masses, masked))
 
 
 def test_vidtldr_merge_suppressed_source_vanishes():
@@ -250,8 +273,7 @@ def test_vidtldr_merge_suppressed_source_vanishes():
     b = np.array([100.0, 100.0], dtype=np.float32)
     state = merging.new_state(np.stack([a, b]))
     merges = merging.soft_match(state.features, 1)
-    masses = merging.vidtldr_mass_update(state, np.array([1.0, 0.0]))
-    out = merging.vidtldr_merge(state, merges, masses)
+    out = merging.vidtldr_merge(state, merges, np.array([1.0, 0.0]))
     assert_allclose(out.features[0], a, rtol=0, atol=1e-3)
     assert out.masses[0] == pytest.approx(1.0 + MASS_EPS, abs=1e-12)
 
@@ -263,8 +285,9 @@ def test_vidtldr_merge_matches_oracle():
         state = random_state(rng, n)
         r = int(rng.integers(0, n // 2 + 1))
         merges = merging.soft_match(state.features, r)
-        masses = merging.vidtldr_mass_update(state, rng.uniform(size=n))
-        out = merging.vidtldr_merge(state, merges, masses)
+        masked = rng.uniform(size=n)
+        masses = oracle_mass_update(state.masses, masked)
+        out = merging.vidtldr_merge(state, merges, masked)
         ef, em = oracle_merge(state, merges, masses)
         assert out.features.tobytes() == ef.astype(np.float32).tobytes()
         assert out.masses.tobytes() == em.tobytes()
@@ -302,9 +325,12 @@ def test_merge_bytes_equal_per_group_loop(n, width, largest, seed):
     masses = MASS_EPS * 10.0 ** rng.uniform(0, 12, size=n)  # 12 decades
     state = TokenState(numerics.as_matrix(feats), masses, np.arange(n, dtype=np.int64))
     merges = _random_merges(rng, n, largest)
-    updated = MASS_EPS * 10.0 ** rng.uniform(0, 12, size=n)
+    masked = rng.uniform(size=n)
+    masked[rng.random(n) < 0.2] = 0.0
+    masked[rng.random(n) < 0.2] = 1.0
     for out, w in [(merging.tome_merge(state, merges), masses),
-                   (merging.vidtldr_merge(state, merges, updated), updated)]:
+                   (merging.vidtldr_merge(state, merges, masked),
+                    oracle_mass_update(masses, masked))]:
         ef, em = oracle_merge(state, merges, w)
         assert out.features.tobytes() == ef.astype(np.float32).tobytes()
         assert out.masses.tobytes() == em.tobytes()
@@ -318,19 +344,11 @@ def test_shat_one_degenerates_to_tome():
         state = random_state(rng, n)
         r = int(rng.integers(0, n // 2 + 1))
         merges = merging.soft_match(state.features, r)
-        masses = merging.vidtldr_mass_update(state, np.ones(n))
-        a = merging.vidtldr_merge(state, merges, masses)
+        a = merging.vidtldr_merge(state, merges, np.ones(n))
         b = merging.tome_merge(state, merges)
         assert_array_equal(a.features, b.features)
         assert_array_equal(a.masses, b.masses)
         assert a.provenance == b.provenance
-
-
-def test_vidtldr_merge_rejects_floor_violation():
-    state = merging.new_state(np.zeros((4, 2), dtype=np.float32))
-    merges = merging.soft_match(state.features, 0)
-    with pytest.raises(ValueError):
-        merging.vidtldr_merge(state, merges, np.array([1.0, 0.0, 1.0, 1.0]))
 
 
 def test_merge_rejects_chained_destination():
@@ -340,7 +358,7 @@ def test_merge_rejects_chained_destination():
         with pytest.raises(ValueError, match="merged away"):
             merging.tome_merge(state, merges)
         with pytest.raises(ValueError, match="merged away"):
-            merging.vidtldr_merge(state, merges, state.masses)
+            merging.vidtldr_merge(state, merges, np.ones(state.count))
 
 
 def test_prune_identity_and_hand_case():
@@ -453,7 +471,6 @@ def test_owner_map_property_equals_tuple_oracle(n_tubes, seed, data):
             if op == "tome":
                 state = merging.tome_merge(state, merges)
             else:
-                masses = merging.vidtldr_mass_update(state, rng.uniform(size=n))
-                state = merging.vidtldr_merge(state, merges, masses)
+                state = merging.vidtldr_merge(state, merges, rng.uniform(size=n))
             prov = oracle_merge_tubes(prov, merges)
         assert_owner_map_matches(state, prov, n_tubes, per_tube)
