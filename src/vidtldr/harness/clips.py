@@ -14,10 +14,10 @@ Three patterns, all deterministic in the seed, named in PATTERNS:
 A SynthClip is a clip's recipe: its spec, seed and pattern. Its
 foreground lists the tube indices the blob covers, the ground truth
 that saliency scores are evaluated against; the spec and the pattern
-alone place the blob, so no random draw reaches it. ``voxels()`` builds
-the voxel array from the seed, with the same draws in the same order
-on every call. A run builds it once for its forwards and keeps only
-the recipe.
+alone place the blob, so no random draw reaches it. ``synth_clip``,
+the one builder of a clip's voxels, draws them from the recipe's seed
+with the same draws in the same order on every call. A run builds
+them once for its forwards and keeps only the recipe.
 """
 
 from __future__ import annotations
@@ -57,28 +57,6 @@ class SynthClip:
             for c in range(col, col + bp)
         )
 
-    def voxels(self) -> np.ndarray:
-        """The (frames, height, width, channels) float32 voxels, read-only."""
-        spec = self.spec
-        rng = numerics.make_rng(self.seed)
-        clip = rng.normal(0.0, 1.0, size=(spec.frames, spec.height, spec.width, spec.channels))
-        placements = _placements(spec, self.pattern)
-        if placements:
-            bp = _blob_side(spec)
-            px = bp * spec.patch
-            # One patch-sized pattern tiled over the blob: every covered
-            # tube sees the same content, so the blob forms a single
-            # feature cluster.
-            tile = rng.normal(0.0, 1.0, size=(spec.patch, spec.patch, spec.channels))
-            texture = np.tile(tile, (bp, bp, 1))
-            for g, (row, col, amp) in enumerate(placements):
-                f0 = g * spec.tube
-                clip[f0 : f0 + spec.tube, row * spec.patch : row * spec.patch + px,
-                     col * spec.patch : col * spec.patch + px, :] += amp * texture
-        voxels = clip.astype(np.float32)
-        voxels.setflags(write=False)
-        return voxels
-
 
 def _blob_side(spec: ClipSpec) -> int:
     return min(BLOB_PATCHES, spec.grid_h, spec.grid_w)
@@ -116,6 +94,24 @@ def _placements(spec: ClipSpec, pattern: str) -> list[tuple[int, int, float]]:
     return _PLACEMENTS[pattern](spec, _blob_side(spec))
 
 
-def synth_clip(spec: ClipSpec, seed: int, pattern: str) -> SynthClip:
-    """One clip's recipe. pattern is one of PATTERNS."""
-    return SynthClip(spec, seed, pattern)
+def synth_clip(clip: SynthClip) -> np.ndarray:
+    """The recipe's (frames, height, width, channels) float32 voxels, read-only."""
+    spec = clip.spec
+    rng = numerics.make_rng(clip.seed)
+    out = rng.normal(0.0, 1.0, size=(spec.frames, spec.height, spec.width, spec.channels))
+    placements = _placements(spec, clip.pattern)
+    if placements:
+        bp = _blob_side(spec)
+        px = bp * spec.patch
+        # One patch-sized pattern tiled over the blob: every covered
+        # tube sees the same content, so the blob forms a single
+        # feature cluster.
+        tile = rng.normal(0.0, 1.0, size=(spec.patch, spec.patch, spec.channels))
+        texture = np.tile(tile, (bp, bp, 1))
+        for g, (row, col, amp) in enumerate(placements):
+            f0 = g * spec.tube
+            out[f0 : f0 + spec.tube, row * spec.patch : row * spec.patch + px,
+                col * spec.patch : col * spec.patch + px, :] += amp * texture
+    voxels = out.astype(np.float32)
+    voxels.setflags(write=False)
+    return voxels

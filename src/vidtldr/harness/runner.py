@@ -17,9 +17,9 @@ The mode's reducer comes from RunConfig.reducers; with none (baseline)
 the clean forward is the run's result. The forwards share only the
 clip's voxels and the weights, both read-only, unless the reducer
 declares ``reads_rollout`` (prune-rollout) and reads the clean rollout
-table. _inputs builds the voxels once per run, from the clip's recipe
-(clips.SynthClip); both forwards read that one array, and nothing holds
-it once run returns.
+table. _inputs builds the voxels once per run with clips.synth_clip,
+from the clip's recipe (clips.SynthClip); both forwards read that one
+array, and nothing holds it once run returns.
 
 A run whose analytical MACs reach CONCURRENT_MIN_MACS, on a process
 that may use at least two CPUs, uses three threads; _inputs alone
@@ -77,7 +77,7 @@ import numpy as np
 from .. import costmodel, model, numerics, saliency
 from ..merging import TokenState
 from ..model import ForwardResult, forward_clip
-from .clips import SynthClip, synth_clip
+from . import clips
 from .config import CLIP_IDENTITY, ConfigError, InvariantError, RunConfig, load_config
 from .tensorio import dump_tensor, load_tensor
 
@@ -112,7 +112,7 @@ class RunResult:
     run_id: str
     config: RunConfig
     out_dir: Path
-    clip: SynthClip
+    clip: clips.SynthClip
     clean: ForwardResult
     result: ForwardResult
     cost: costmodel.CostReport
@@ -179,15 +179,15 @@ def _inputs(cfg: RunConfig, macs: int):
     """
     spec = cfg.clip_spec()
     clip_seed, weight_seed = numerics.spawn_seeds(cfg.seed, 2)
-    synth = synth_clip(spec, clip_seed, cfg.pattern)
+    synth = clips.SynthClip(spec, clip_seed, cfg.pattern)
     draw = (cfg.model_config(), spec, weight_seed)
     if macs < CONCURRENT_MIN_MACS or _usable_cpus() < 2:
-        yield synth, synth.voxels(), model.init_weights(*draw), None
+        yield synth, clips.synth_clip(synth), model.init_weights(*draw), None
         return
     weights = WeightStream(cfg.layers)
     with ThreadPoolExecutor(max_workers=2) as pool:
         drawing = pool.submit(weights.draw, *draw)
-        yield synth, synth.voxels(), weights, pool
+        yield synth, clips.synth_clip(synth), weights, pool
     drawing.result()
 
 

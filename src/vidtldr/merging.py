@@ -134,11 +134,16 @@ def _merge_with_masses(state: TokenState, merges, masses: np.ndarray) -> TokenSt
     reduced along the member axis, which relies on one condition: numpy
     reduces each row of a batch exactly as it reduces that row alone.
     The byte oracle test_merge_bytes_equal_per_group_loop checks it on
-    each numpy build.
+    each numpy build. A list with a position outside [0, n), a source
+    listed twice or a destination merged away raises ValueError.
     """
     n = state.count
     # (src, dst) columns; positions are exact in float64
     src, dst = np.asarray(merges, dtype=np.float64).reshape(-1, 3)[:, :2].T.astype(np.int64)
+    if ((src < 0) | (src >= n) | (dst < 0) | (dst >= n)).any():
+        raise ValueError(f"a merge position lies outside [0, {n})")
+    if np.unique(src).size < src.size:
+        raise ValueError("a merge source is listed more than once")
     keep = np.ones(n, dtype=bool)
     keep[src] = False
     if not keep[dst].all():

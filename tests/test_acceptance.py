@@ -15,7 +15,7 @@ import numpy as np
 from oracles import oracle_mass_update, oracle_match, oracle_merge
 from vidtldr import costmodel, merging, numerics, saliency
 from vidtldr.harness import runner
-from vidtldr.harness.clips import PATTERNS, synth_clip
+from vidtldr.harness.clips import PATTERNS, SynthClip, synth_clip
 from vidtldr.harness.config import parse_config_text
 from vidtldr.model import (
     ClipSpec,
@@ -67,7 +67,7 @@ def draw_schedule(rng, n, layers, force_first=True):
 def tiny_setup(seed, pattern, tau, layers=4):
     cfg = ModelConfig(width=16, heads=2, layers=layers, temporal_bias=tau)
     clip_seed, weight_seed = numerics.spawn_seeds(seed, 2)
-    voxels = synth_clip(TINY, clip_seed, pattern).voxels()
+    voxels = synth_clip(SynthClip(TINY, clip_seed, pattern))
     weights = init_weights(cfg, TINY, weight_seed)
     return cfg, voxels, weights
 
@@ -314,9 +314,9 @@ def test_criterion_08_foreground_discrimination(capsys):
     margins = []
     for seed in range(50):
         clip_seed, weight_seed = numerics.spawn_seeds(seed, 2)
-        synth = synth_clip(DESK, clip_seed, "moving-blob")
+        synth = SynthClip(DESK, clip_seed, "moving-blob")
         weights = init_weights(cfg, DESK, weight_seed)
-        maps = head_mean_maps(synth.voxels(), cfg, weights)
+        maps = head_mean_maps(synth_clip(synth), cfg, weights)
         shat = saliency.masked_saliency(saliency.sharpness_saliency(maps[1]))
         fg = np.zeros(DESK.n_tokens, dtype=bool)
         fg[list(synth.foreground)] = True
@@ -338,7 +338,7 @@ def test_criterion_09_temporal_bias_mitigation(capsys):
     gaps = []
     for seed in range(50):
         clip_seed, weight_seed = numerics.spawn_seeds(seed, 2)
-        voxels = synth_clip(DESK, clip_seed, "front-loaded").voxels()
+        voxels = synth_clip(SynthClip(DESK, clip_seed, "front-loaded"))
         weights = init_weights(cfg, DESK, weight_seed)
         first = head_mean_maps(voxels, cfg, weights)[0]
         ra = saliency.frame_score_ratio(
@@ -400,7 +400,7 @@ def test_criterion_11_schedule_count_contract(capsys):
     rng = numerics.make_rng(1111)
     cfg = ModelConfig(width=32, heads=4, layers=4, temporal_bias=0.6)
     clip_seed, weight_seed = numerics.spawn_seeds(11, 2)
-    voxels = synth_clip(MID, clip_seed, "moving-blob").voxels()
+    voxels = synth_clip(SynthClip(MID, clip_seed, "moving-blob"))
     weights = init_weights(cfg, MID, weight_seed)
     reducers = (
         lambda: TomeReducer(),

@@ -361,6 +361,26 @@ def test_merge_rejects_chained_destination():
             merging.vidtldr_merge(state, merges, np.ones(state.count))
 
 
+MERGES = {
+    "tome": merging.tome_merge,
+    "vidtldr": lambda state, merges: merging.vidtldr_merge(state, merges, np.ones(state.count)),
+}
+
+
+@pytest.mark.parametrize("merge", MERGES)
+@pytest.mark.parametrize("merges, message", [
+    (((1, 0, 0.5), (1, 2, 0.4)), "more than once"),  # source 1 listed twice
+    (((-1, 0, 0.5),), "outside"),  # would merge token 5 into token 0
+    (((1, -2, 0.5),), "outside"),  # would merge token 1 into token 4
+    (((7, 0, 0.5),), "outside"),
+    (((1, 6, 0.5),), "outside"),
+], ids=["repeated-src", "negative-src", "negative-dst", "src-past-end", "dst-past-end"])
+def test_merge_rejects_lists_it_cannot_apply(merge, merges, message):
+    state = merging.new_state(np.arange(12, dtype=np.float32).reshape(6, 2))
+    with pytest.raises(ValueError, match=message):
+        MERGES[merge](state, merges)
+
+
 def test_prune_identity_and_hand_case():
     rng = numerics.make_rng(53)
     state = random_state(rng, 3)

@@ -5,7 +5,7 @@ field that no longer resolves would make a metric read 0 or a check fail."""
 import importlib
 from pathlib import Path
 
-from vidtldr.harness import config, runner
+from vidtldr.harness import clips, config, runner
 from vidtldr.merging import TokenState
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -45,3 +45,21 @@ def test_checks_accept_every_desk_mode(monkeypatch, tmp_path):
         results.append(res)
     header, rows = runner.compare([res.out_dir for res in results])
     assert checks.check_compare(header, rows, results) == []
+
+
+def test_selftests_pass(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # as perfbench/run.py imports it
+    selftest = importlib.import_module("selftest")
+    assert selftest.run_selftests(tmp_path / "selftest") == []
+
+
+def test_tables_match_the_program(monkeypatch):
+    """perfbench keeps its own copies of the mode and pattern tables."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # as perfbench/run.py imports them
+    checks = importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
+    assert workloads.MODES == config.MODES
+    assert workloads.PATTERNS == clips.PATTERNS
+    reducers = config.RunConfig.reducers(None)
+    unpruned = {m for m, r in reducers.items() if r is None or getattr(r, "merging", False)}
+    assert set(checks.UNPRUNED_MODES) == unpruned

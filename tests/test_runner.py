@@ -289,29 +289,42 @@ def _mode_cfg(tmp_path, mode):
 
 @pytest.fixture
 def voxel_builds(monkeypatch):
-    """Records the recipe of each clip whose voxels are built."""
-    built = []
-    voxels = clips.SynthClip.voxels
+    """Records each clip recipe whose voxels clips.synth_clip builds,
+    with the array it built, and the voxels each forward embeds."""
+    built, embedded = [], []
+    synth_clip, embed_clip = clips.synth_clip, model.embed_clip
 
-    def spy(synth):
-        built.append(synth)
-        return voxels(synth)
+    def build_spy(clip):
+        voxels = synth_clip(clip)
+        built.append((clip, voxels))
+        return voxels
 
-    monkeypatch.setattr(clips.SynthClip, "voxels", spy)
-    return built
+    def embed_spy(voxels, *args):
+        embedded.append(voxels)
+        return embed_clip(voxels, *args)
+
+    monkeypatch.setattr(clips, "synth_clip", build_spy)
+    monkeypatch.setattr(model, "embed_clip", embed_spy)
+    return built, embedded
 
 
 @pytest.mark.parametrize("gate", ["serial", "overlapped"])
 def test_a_run_builds_its_voxels_once(tmp_path, request, voxel_builds, gate):
     if gate == "overlapped":
         started = request.getfixturevalue("executors")
+    built, embedded = voxel_builds
     for mode in MODES:
         res = runner.run(_mode_cfg(tmp_path, mode))
-        assert voxel_builds == [res.clip], mode
+        assert [clip for clip, _ in built] == [res.clip], mode
+        # baseline's clean forward is its result; every other mode runs two
+        assert len(embedded) == (1 if mode == "baseline" else 2), mode
+        assert all(voxels is built[0][1] for voxels in embedded), mode
         assert _reachable_arrays(res.clip) == []
-        voxel_builds.clear()
+        built.clear()
+        embedded.clear()
     runner.clean_forward(_mode_cfg(tmp_path, "baseline"))
-    assert len(voxel_builds) == 1
+    assert len(built) == 1
+    assert len(embedded) == 1 and embedded[0] is built[0][1]
     if gate == "overlapped":
         assert len(started) == len(MODES) + 1
 
