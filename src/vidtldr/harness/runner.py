@@ -14,23 +14,24 @@ writes its artifacts under <out.dir>/<run_id>/:
     attention_l*.vtdr, tokens.vtdr, masses.vtdr   (optional dumps)
 
 The mode's reducer comes from RunConfig.reducers; with none (baseline)
-the clean forward is the run's result. The forwards share only the
-clip's voxels and the weights, both read-only, unless the reducer
-declares ``reads_rollout`` (prune-rollout) and reads the clean rollout
-table. _inputs builds the voxels once per run with clips.synth_clip,
-from the clip's recipe (clips.SynthClip); both forwards read that one
-array, and nothing holds it once run returns.
+the clean forward is the run's result. _execute runs the forwards in
+memory and run writes what they return; clean_forward is _execute of the
+config made baseline, so a run's clean reference is a baseline run's.
+The forwards share only the clip's voxels and the weights, both
+read-only, unless the reducer declares ``reads_rollout`` (prune-rollout)
+and reads the clean rollout table. _inputs builds the voxels once per
+run with clips.synth_clip, from the clip's recipe (clips.SynthClip);
+both forwards read that one array, and nothing holds it once run returns.
 
 A run whose analytical MACs reach CONCURRENT_MIN_MACS, on a process
 that may use at least two CPUs, uses three threads; _inputs alone
 makes that choice. A pool thread draws the weights into its
 WeightStream while the calling thread builds the voxels, and each
 forward waits only for the layer it is about to run. Every thread, pool
-and future of the program lives in this module. Unless the mode
-has no reducer or its reducer reads the rollout, the pool's other
-thread then runs the reduced forward while the calling thread runs the
-clean forward and the rollout. clean_forward streams its weights the
-same way. Below that size the threads would mostly wait for the
+and future of the program lives in this module. Unless the mode has no
+reducer or its reducer reads the rollout, the pool's other thread then
+runs the reduced forward while the calling thread runs the clean forward
+and the rollout. Below that size the threads would mostly wait for the
 interpreter lock, so everything runs on the calling thread. The choice
 does not change an output bit: the draw order is init_weights' alone,
 every product is certified independent of BLAS's summation order, and
@@ -50,15 +51,15 @@ write there is joined, so <run_id>/ is either complete or as an earlier
 run left it.
 
 Each layer's attention maps leave forward_clip only through its sink.
-_clean_reference's sink keeps the clean forward's head means for the
-rollout and scores its layer 0 for frame_ratio.csv, then hands the maps
-on: on a baseline run, whose clean forward is its result, to the result
-sink. That sink writes the layer's probs into the hidden directory with
-dump.attention and takes its metrics.csv mean_saliency, so its maps die
-with the layer; on an overlapped run that work is the worker thread's.
-Of the two forwards, a RunResult keeps only their traces (each layer's
-token count and wall time, and the final state), and no n x n map; of
-the clip, it keeps the recipe and not the voxels.
+The clean forward's sink keeps the head means for the rollout, dropped
+once the ratios are built, and scores layer 0 for frame_ratio.csv, then
+hands the maps on: on a baseline run, whose clean forward is its result,
+to the result sink. That sink writes the layer's probs into the hidden
+directory with dump.attention and takes its metrics.csv mean_saliency,
+so its maps die with the layer; on an overlapped run that work is the
+worker thread's. Of the two forwards, a RunResult keeps only their
+traces (each layer's token count and wall time, and the final state),
+and no n x n map; of the clip, it keeps the recipe and not the voxels.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ import shutil
 import tempfile
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +124,7 @@ class RunResult:
 
 
 def write_frame_ratios(path: Path, ratios: np.ndarray) -> None:
-    """Write the (n_groups, 3) table of _clean_reference as frame_ratio.csv."""
+    """Write the (n_groups, 3) frame-ratio table of _execute as frame_ratio.csv."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(RATIO_HEADER)
@@ -192,43 +193,59 @@ def _inputs(cfg: RunConfig, macs: int):
 
 
 def clean_forward(cfg: RunConfig, sink=None):
-    """A run's clean reference: _clean_reference on its own clip and weights."""
-    macs = costmodel.schedule_flops(cfg.cost_config(), []).total_flops
-    with _inputs(cfg, macs) as (_, voxels, weights, _):
-        return _clean_reference(cfg, voxels, weights, sink)
+    """A run's clean reference (its forward, rollout table and frame
+    ratios): the forwards of the config made baseline, on the same clip."""
+    _, clean, rollout, ratios, _, _ = _execute(replace(cfg, mode="baseline", schedule=()), sink)
+    return clean, rollout, ratios
 
 
-def _clean_reference(
-    cfg: RunConfig, voxels: np.ndarray, weights, sink=None
-) -> tuple[ForwardResult, np.ndarray, np.ndarray]:
-    """The no-reduction forward, its rollout table and its frame ratios.
-
-    Returns the forward's result, the attention_rollout table of its
-    head means, and an (n_groups, 3) table of per-frame ratios at the
-    first layer: attentiveness, rollout (row 0 of the table, from layer
-    0 through the last) and masked sharpness saliency. Each layer's maps
-    go on to ``sink``, as forward_clip's, once these reads are done.
-    """
-    spec = cfg.clip_spec()
+def _execute(cfg: RunConfig, sink=None):
+    """A run's forwards, in memory, touching no disk: the clip recipe, the
+    no-reduction forward, the attention_rollout table of its head means,
+    the (n_groups, 3) per-frame ratios at the first layer (attentiveness,
+    rollout row 0, masked sharpness saliency), the result forward, whose
+    maps go on to ``sink``, and the cost report its trajectory matches."""
+    cost = costmodel.schedule_flops(cfg.cost_config(), cfg.schedule)
+    reducer = cfg.reducers(None)[cfg.mode]
+    spec, model_cfg = cfg.clip_spec(), cfg.model_config()
     head_means, masked = [], []
 
     def reference_sink(layer, maps):
         head_means.append(maps.head_mean_probs)
         if layer == 0:
             masked.append(maps.masked_saliency)
-        if sink is not None:
+        if reducer is None and sink is not None:
             sink(layer, maps)
 
-    clean = forward_clip(
-        voxels, spec, cfg.model_config(), weights, [], None, sink=reference_sink
-    )
-    rollout = saliency.attention_rollout(head_means)
-    frame_of = spec.tube_frame_groups()
-    ratios = np.stack([
-        saliency.frame_score_ratio(s, frame_of, spec.n_groups)
-        for s in (saliency.attentiveness(head_means[0]), rollout[0], masked[0])
-    ], axis=1)
-    return clean, rollout, ratios
+    with _inputs(cfg, cost.total_flops) as (synth, voxels, weights, pool):
+
+        def reduced(by):
+            return forward_clip(voxels, spec, model_cfg, weights, cfg.schedule, by, sink=sink)
+
+        serial = pool is None or reducer is None or getattr(reducer, "reads_rollout", False)
+        pending = None if serial else pool.submit(reduced, reducer)
+        clean = forward_clip(voxels, spec, model_cfg, weights, [], None, sink=reference_sink)
+        rollout = saliency.attention_rollout(head_means)
+        frame_of = spec.tube_frame_groups()
+        ratios = np.stack([
+            saliency.frame_score_ratio(s, frame_of, spec.n_groups)
+            for s in (saliency.attentiveness(head_means[0]), rollout[0], masked[0])
+        ], axis=1)
+        head_means.clear()  # freed before the reduced forward runs or is awaited
+        if pending is not None:
+            result = pending.result()
+        elif reducer is None:
+            result = clean
+        else:
+            result = reduced(cfg.reducers(rollout)[cfg.mode])
+
+    observed = tuple(tr.tokens_out for tr in result.traces)
+    if observed != cost.token_trajectory:
+        raise RuntimeError(
+            f"forward token trajectory {observed} diverged from cost model "
+            f"{cost.token_trajectory}"
+        )
+    return synth, clean, rollout, ratios, result, cost
 
 
 def _usable_cpus() -> int:
@@ -239,8 +256,6 @@ def _usable_cpus() -> int:
 
 def run(cfg: RunConfig) -> RunResult:
     """Execute one configured run and write its artifacts."""
-    cost = costmodel.schedule_flops(cfg.cost_config(), cfg.schedule)
-    reducer = cfg.reducers(None)[cfg.mode]
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     out_dir = out_root / cfg.run_id
@@ -250,43 +265,19 @@ def run(cfg: RunConfig) -> RunResult:
         run_dir.mkdir()
         mean_saliency = []
 
-        # The run's result is the reduced forward, or baseline's clean one.
         def result_sink(layer, maps):
             if cfg.dump_attention:
                 dump_tensor(run_dir / f"attention_l{layer:02d}.vtdr", maps.probs)
             mean_saliency.append(float(maps.masked_saliency.mean()))
 
-        with _inputs(cfg, cost.total_flops) as (synth, voxels, weights, pool):
-
-            def reduced(by):
-                return forward_clip(
-                    voxels, cfg.clip_spec(), cfg.model_config(), weights, cfg.schedule,
-                    by, sink=result_sink,
-                )
-
-            if pool is None or reducer is None or getattr(reducer, "reads_rollout", False):
-                clean, rollout, ratios = _clean_reference(
-                    cfg, voxels, weights, result_sink if reducer is None else None
-                )
-                result = clean if reducer is None else reduced(cfg.reducers(rollout)[cfg.mode])
-            else:
-                pending = pool.submit(reduced, reducer)
-                clean, _, ratios = _clean_reference(cfg, voxels, weights)
-                result = pending.result()
-
-        observed = tuple(tr.tokens_out for tr in result.traces)
-        if observed != cost.token_trajectory:
-            raise RuntimeError(
-                f"forward token trajectory {observed} diverged from cost model "
-                f"{cost.token_trajectory}"
-            )
+        synth, clean, _, ratios, result, cost = _execute(cfg, result_sink)
         _write_artifacts(run_dir, cfg, cost, ratios, mean_saliency, result)
         try:  # move an earlier run's directory aside; the rmtree below removes it
             out_dir.rename(staging / "replaced")
         except FileNotFoundError:
             pass
         run_dir.rename(out_dir)
-    finally:  # reached only once _inputs has joined every thread that could write here
+    finally:  # reached only once _execute has joined every thread that could write here
         shutil.rmtree(staging, ignore_errors=True)
 
     return RunResult(

@@ -134,14 +134,20 @@ def _merge_with_masses(state: TokenState, merges, masses: np.ndarray) -> TokenSt
     reduced along the member axis, which relies on one condition: numpy
     reduces each row of a batch exactly as it reduces that row alone.
     The byte oracle test_merge_bytes_equal_per_group_loop checks it on
-    each numpy build. A list with a position outside [0, n), a source
-    listed twice or a destination merged away raises ValueError.
+    each numpy build. A list with an entry that is not a triple, a
+    position that is not an integer in [0, n), a source listed twice or
+    a destination merged away raises ValueError.
     """
     n = state.count
-    # (src, dst) columns; positions are exact in float64
-    src, dst = np.asarray(merges, dtype=np.float64).reshape(-1, 3)[:, :2].T.astype(np.int64)
-    if ((src < 0) | (src >= n) | (dst < 0) | (dst >= n)).any():
+    entries = np.asarray(merges, dtype=np.float64)
+    if len(merges) and entries.shape != (len(merges), 3):
+        raise ValueError("a merge list entry is not one (src, dst, similarity) triple")
+    pos = entries.reshape(-1, 3)[:, :2]  # positions are exact in float64
+    if not ((pos >= 0) & (pos < n)).all():
         raise ValueError(f"a merge position lies outside [0, {n})")
+    if (pos % 1).any():
+        raise ValueError("a merge position is not an integer")
+    src, dst = pos.T.astype(np.int64)
     if np.unique(src).size < src.size:
         raise ValueError("a merge source is listed more than once")
     keep = np.ones(n, dtype=bool)

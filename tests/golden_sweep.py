@@ -148,7 +148,7 @@ def main() -> int:
             bad += len(moved)
             print(f"{label}: {len(got)} digests, {len(moved)} moved, "
                   f"{time.perf_counter() - t0:.1f} s")
-            for k in moved[:20]:
+            for k in moved:
                 print(f"  moved: {k}")
     return 1 if bad else 0
 

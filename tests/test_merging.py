@@ -374,7 +374,12 @@ MERGES = {
     (((1, -2, 0.5),), "outside"),  # would merge token 1 into token 4
     (((7, 0, 0.5),), "outside"),
     (((1, 6, 0.5),), "outside"),
-], ids=["repeated-src", "negative-src", "negative-dst", "src-past-end", "dst-past-end"])
+    (((1.7, 0, 0.5),), "not an integer"),  # would merge token 1 into token 0
+    (((1, 2.5, 0.5),), "not an integer"),
+    (((1, 0, 0.5, 3, 2, 0.1),), "triple"),  # would apply as two merges
+    ((1, 0, 0.5), "triple"),  # a bare triple, not a list of them
+], ids=["repeated-src", "negative-src", "negative-dst", "src-past-end", "dst-past-end",
+        "fractional-src", "fractional-dst", "six-element-entry", "bare-triple"])
 def test_merge_rejects_lists_it_cannot_apply(merge, merges, message):
     state = merging.new_state(np.arange(12, dtype=np.float32).reshape(6, 2))
     with pytest.raises(ValueError, match=message):

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import types
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -347,6 +348,59 @@ def test_a_run_draws_its_weights_once_through_model(tmp_path, monkeypatch, min_m
         calls.clear()
     runner.clean_forward(_mode_cfg(tmp_path, "baseline"))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("gate", ["serial", "overlapped"])
+def test_clean_forward_is_a_baseline_runs_forwards(
+    tmp_path, request, monkeypatch, voxel_builds, gate
+):
+    """On any mode's config, clean_forward runs one forward, on one
+    build of the voxels and one draw of the weights, and submits only
+    the draw to its pool."""
+    if gate == "overlapped":
+        started = request.getfixturevalue("executors")
+    built, embedded = voxel_builds
+    real, draws = model.init_weights, []
+
+    def spy(*args, **kwargs):
+        draws.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "init_weights", spy)
+    for mode in MODES:
+        runner.clean_forward(_mode_cfg(tmp_path, mode))
+        assert (len(built), len(embedded), len(draws)) == (1, 1, 1), mode
+        assert embedded[0] is built[0][1], mode
+        if gate == "overlapped":
+            assert [e.tasks for e in started] == [["draw"]], mode
+            started.clear()
+        built.clear()
+        embedded.clear()
+        draws.clear()
+
+
+@pytest.mark.parametrize("min_macs", [2**62, 0], ids=["gate-closed", "gate-open"])
+def test_clean_maps_are_freed_before_a_prune_rollout_run_reduces(
+    tmp_path, monkeypatch, min_macs
+):
+    monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", min_macs)
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    head_means, alive = [], []
+    rollout, prune = saliency.attention_rollout, merging.prune_lowest
+
+    def rollout_spy(maps):
+        head_means.extend(weakref.ref(m) for m in maps)
+        return rollout(maps)
+
+    def prune_spy(*args):
+        alive.append(sum(ref() is not None for ref in head_means))
+        return prune(*args)
+
+    monkeypatch.setattr(saliency, "attention_rollout", rollout_spy)
+    monkeypatch.setattr(merging, "prune_lowest", prune_spy)
+    runner.run(_mode_cfg(tmp_path, "prune-rollout"))
+    assert len(head_means) == 4
+    assert alive == [0, 0]  # one count per reducing layer
 
 
 def test_serial_runs_start_no_thread(tmp_path, executors, monkeypatch):
@@ -732,15 +786,18 @@ def _stored_arrays(obj):
 @pytest.mark.parametrize("gate", ["serial", "overlapped"])
 @pytest.mark.parametrize("dump", [False, True])
 @pytest.mark.parametrize("mode", MODES)
-def test_results_hold_no_per_head_tensors(tmp_path, monkeypatch, mode, dump, gate):
+def test_results_hold_no_per_head_tensors(tmp_path, request, mode, dump, gate):
     if gate == "overlapped":
-        monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", 0)
+        started = request.getfixturevalue("executors")
     schedule = "" if mode == "baseline" else "4,3,2"
     cfg = parse_config_text(
         GOLDEN_SHAPE + f"run.mode = {mode}\nrun.schedule = {schedule}\n"
         f"out.dir = {tmp_path / 'out'}\ndump.attention = {'true' if dump else 'false'}\n"
     )
     res = runner.run(cfg)
+    if gate == "overlapped":
+        overlapped = mode not in ("baseline", "prune-rollout")
+        assert [e.tasks for e in started] == [["draw", "reduced"] if overlapped else ["draw"]]
     if mode == "baseline":
         assert res.result is res.clean
     for fwd in (res.clean, res.result):
