@@ -23,25 +23,29 @@ and reads the clean rollout table. _inputs builds the voxels once per
 run with clips.synth_clip, from the clip's recipe (clips.SynthClip);
 both forwards read that one array, and nothing holds it once run returns.
 
-A run whose analytical MACs reach CONCURRENT_MIN_MACS, on a process
-that may use at least two CPUs, uses three threads; _inputs alone
-makes that choice. A pool thread draws the weights into its
-WeightStream while the calling thread builds the voxels, and each
-forward waits only for the layer it is about to run. Every thread, pool
-and future of the program lives in this module. Unless the mode has no
-reducer or its reducer reads the rollout, the pool's other thread then
-runs the reduced forward while the calling thread runs the clean forward
-and the rollout. Below that size the threads would mostly wait for the
+A run whose analytical MACs reach CONCURRENT_MIN_MACS uses two threads,
+the calling thread and one pool worker; _inputs makes that choice from
+the run's MACs alone, so a config submits the same tasks on any host.
+The worker runs its tasks in submission order. First comes the weight
+draw into a WeightStream, which _inputs submits before it yields; then,
+unless the mode has no reducer or its reducer reads the rollout, the
+reduced forward, which therefore reads only pieces the draw has already
+published. Meanwhile the calling thread builds the voxels and runs the
+clean forward, each layer waiting only for its own weights, then the
+rollout and the ratios. A pool task that waited on a later one would
+deadlock. Every thread, pool and future of the program lives in this
+module. Below that size the second thread would mostly wait for the
 interpreter lock, so everything runs on the calling thread. The choice
 does not change an output bit: the draw order is init_weights' alone,
 every product is certified independent of BLAS's summation order, and
 nothing reachable from forward_clip keeps state between calls. A call
-joins every thread it starts before it returns or raises.
+joins the thread it starts before it returns or raises.
 
 Everything except the wall_ms column is byte-reproducible for a fixed
 config. wall_ms times each layer of the mode's forward, from the moment
-its weights are drawn; on a large run it shares the CPU with the other
-threads.
+its weights are drawn; on a large run it may share the CPU with the
+other thread: the clean forward's layers with the draw, the reduced
+forward's with the clean forward.
 
 The artifacts are first written into a new hidden directory under
 out.dir, made before the forwards, which is then renamed to <run_id>/,
@@ -65,7 +69,6 @@ and no n x n map; of the clip, it keeps the recipe and not the voxels.
 from __future__ import annotations
 
 import csv
-import os
 import shutil
 import tempfile
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -87,9 +90,11 @@ RATIO_HEADER = ["frame_index", "ratio_attentiveness", "ratio_rollout", "ratio_ma
 MASS_HEADER = ["tube_index", "frame_group", "mass_share"]
 COMPARE_HEADER = ["run_id", "mode", "total_flops", "final_tokens", "token_trajectory", "feature_distance"]
 
-# Analytical MACs from which a run overlaps its two forwards. On a 2-CPU
-# host the overlap broke even between 33M MACs (128 tokens, width 64)
-# and 57M (196 tokens, width 64).
+# Analytical MACs from which a run uses two threads. Six-mode rounds at
+# width 64 on a 2-vCPU host (one BLAS thread, 20 alternating pairs), two
+# threads against one: 288 vs 292 ms at 64 tokens (vidtldr 14.7M MACs,
+# faster in 12/20), 375 vs 396 ms at 128 (32.7M, 13/20) and 469 vs
+# 522 ms at 196 (56.7M, 18/20). Two threads win most pairs only at 196.
 CONCURRENT_MIN_MACS = 10**8
 
 
@@ -169,24 +174,25 @@ class WeightStream:
 @contextmanager
 def _inputs(cfg: RunConfig, macs: int):
     """Yield a run's clip recipe, its voxels, its weights and a
-    two-thread pool, or None.
+    one-worker pool, or None.
 
     run.seed derives two child seeds, one for the clip voxels and one
-    for the model weights. From CONCURRENT_MIN_MACS analytical ``macs``,
-    on two usable CPUs, a pool thread draws the weights into a
-    WeightStream while this thread builds the voxels, and the pool's
-    other thread is free for the reduced forward; below, there is no
-    pool. Leaving the block, also by an exception, joins both threads.
+    for the model weights. The run's analytical ``macs`` alone choose
+    the plan. From CONCURRENT_MIN_MACS, the pool's one worker draws the
+    weights into a WeightStream while this thread builds the voxels, and
+    runs any task submitted to the pool after the draw, in submission
+    order. Below, there is no pool. Leaving the block, also by an
+    exception, joins the worker.
     """
     spec = cfg.clip_spec()
     clip_seed, weight_seed = numerics.spawn_seeds(cfg.seed, 2)
     synth = clips.SynthClip(spec, clip_seed, cfg.pattern)
     draw = (cfg.model_config(), spec, weight_seed)
-    if macs < CONCURRENT_MIN_MACS or _usable_cpus() < 2:
+    if macs < CONCURRENT_MIN_MACS:
         yield synth, clips.synth_clip(synth), model.init_weights(*draw), None
         return
     weights = WeightStream(cfg.layers)
-    with ThreadPoolExecutor(max_workers=2) as pool:
+    with ThreadPoolExecutor(max_workers=1) as pool:
         drawing = pool.submit(weights.draw, *draw)
         yield synth, clips.synth_clip(synth), weights, pool
     drawing.result()
@@ -246,12 +252,6 @@ def _execute(cfg: RunConfig, sink=None):
             f"{cost.token_trajectory}"
         )
     return synth, clean, rollout, ratios, result, cost
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def run(cfg: RunConfig) -> RunResult:

@@ -113,10 +113,7 @@ def masked_saliency(raw) -> np.ndarray:
     if not m.any():
         return np.ones_like(s)
     shifted = np.where(m, s - mean, 0.0)
-    peak = float(shifted.max())
-    if peak <= 0.0:
-        return np.ones_like(s)
-    return shifted / peak
+    return shifted / float(shifted.max())  # positive: a kept score exceeds the mean
 
 
 def frame_score_ratio(scores, frame_of, n_groups: int) -> np.ndarray:

@@ -13,10 +13,12 @@ each at run.seed 1 and 20240318 with both dumps on. It hashes every
 artifact of each run (metrics.csv without its wall_ms column), the
 final features, masses and owner map of both forwards in the returned
 RunResult, and those of ``runner.clean_forward``. It runs every config
-twice, with the thread gate forced open (CONCURRENT_MIN_MACS = 0 on two
-usable CPUs, so every call streams its weights) and forced closed (no
-call starts a thread), and checks that each path took the threads the
-gate asks for and produced the table in golden_sweep.json.
+twice, with the thread gate forced open (CONCURRENT_MIN_MACS = 0, so
+every call streams its weights on one pool worker, which then runs the
+reduced forward where the mode overlaps) and forced closed (no call
+starts a thread), and checks that each path submitted the tasks the
+gate asks for and produced the table in golden_sweep.json. The gate
+reads the run's MACs alone, so the check means the same on any host.
 
 Not collected by pytest: both gates over both seeds take about a
 minute. ``test_golden.py`` runs the first seed of the big set with the
@@ -90,28 +92,34 @@ def _state_digests(prefix: str, state) -> dict[str, str]:
 
 @contextmanager
 def gate(open_: bool):
-    """Force runner's thread gate; yield the list of executors it starts."""
-    saved = runner.CONCURRENT_MIN_MACS, runner._usable_cpus, runner.ThreadPoolExecutor
+    """Force runner's thread gate; yield the list of pools it starts.
+    Each pool records its ``max_workers`` and the names of the tasks
+    submitted to it, in order, as ``tasks``."""
+    saved = runner.CONCURRENT_MIN_MACS, runner.ThreadPoolExecutor
     started = []
 
-    class Counted(saved[2]):
-        def __init__(self, *args, **kwargs):
+    class Recorded(saved[1]):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            self.max_workers, self.tasks = max_workers, []
             started.append(self)
-            super().__init__(*args, **kwargs)
+            super().__init__(max_workers, *args, **kwargs)
+
+        def submit(self, fn, /, *args, **kwargs):
+            self.tasks.append(fn.__name__)
+            return super().submit(fn, *args, **kwargs)
 
     runner.CONCURRENT_MIN_MACS = 0 if open_ else 2**62
-    runner._usable_cpus = lambda: 2
-    runner.ThreadPoolExecutor = Counted
+    runner.ThreadPoolExecutor = Recorded
     try:
         yield started
     finally:
-        runner.CONCURRENT_MIN_MACS, runner._usable_cpus, runner.ThreadPoolExecutor = saved
+        runner.CONCURRENT_MIN_MACS, runner.ThreadPoolExecutor = saved
 
 
 def sweep(open_: bool, seeds=SEEDS, shapes=tuple(SHAPES)) -> dict[str, str]:
     """Digest every swept run under the forced gate, in the current directory."""
     out = {}
-    calls = 0
+    tasks = []  # what each call submits to its one-worker pool with the gate open
     with gate(open_) as started:
         for name, text in configs(seeds, shapes):
             cfg = parse_config_text(text)
@@ -122,10 +130,12 @@ def sweep(open_: bool, seeds=SEEDS, shapes=tuple(SHAPES)) -> dict[str, str]:
             out.update(_state_digests(f"{name}/run.result", res.final_state))
             clean, _, _ = runner.clean_forward(cfg)
             out.update(_state_digests(f"{name}/clean_forward", clean.final_state))
-            calls += 2
-    if len(started) != (calls if open_ else 0):
-        raise AssertionError(f"gate {'open' if open_ else 'closed'}: "
-                             f"{len(started)} executors for {calls} calls")
+            serial = cfg.mode in ("baseline", "prune-rollout")
+            tasks += [["draw"] if serial else ["draw", "reduced"], ["draw"]]
+    got = [(pool.max_workers, pool.tasks) for pool in started]
+    if got != ([(1, t) for t in tasks] if open_ else []):
+        raise AssertionError(f"gate {'open' if open_ else 'closed'}: pools {got} "
+                             f"for {len(tasks)} calls")
     return out
 
 

@@ -9,9 +9,11 @@ hashed without its wall_ms column, the one value outside the
 determinism contract.
 
 The golden shapes sit below runner.CONCURRENT_MIN_MACS, so one test
-runs the matrix again with the gate at 0, where every run draws its
-weights on a second thread while its forwards read them, and each run
-whose mode allows it also overlaps its two forwards.
+runs the matrix again with the gate at 0, where every run uses two
+threads: its one pool worker draws the weights while the clean forward
+reads them on the calling thread, then runs the reduced forward where
+the mode allows it. The gate reads the run's MACs alone, so this path
+is the same on any host.
 
 The table must also hold under another BLAS kernel: one test runs the
 matrix in a child process with OPENBLAS_CORETYPE=Prescott, which
@@ -132,22 +134,17 @@ def test_artifacts_match_golden_digests(tmp_path, monkeypatch):
 
 
 def test_digests_hold_on_the_concurrent_path(tmp_path, monkeypatch):
-    submitted = []
+    import golden_sweep  # imports this module's _digest, so not at the top
 
-    class SpyExecutor(runner.ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            submitted.append(fn.__name__)
-            return super().submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(runner, "ThreadPoolExecutor", SpyExecutor)
-    monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", 0)
-    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
     monkeypatch.chdir(tmp_path)
-    assert artifact_digests() == json.loads(TABLE.read_text())
+    with golden_sweep.gate(True) as pools:
+        assert artifact_digests() == json.loads(TABLE.read_text())
     runs = [name for name, _ in _runs()]
     serial = {"baseline", "prune-rollout"}
     overlapping = [name for name in runs if not serial & set(name.split("/"))]
     assert len(runs) == 21 and len(overlapping) == 15
+    assert len(pools) == len(runs) and all(pool.max_workers == 1 for pool in pools)
+    submitted = [task for pool in pools for task in pool.tasks]
     assert submitted.count("draw") == len(runs)
     assert submitted.count("reduced") == len(overlapping)
     assert len(submitted) == 36

@@ -1,13 +1,15 @@
 import csv
 import dataclasses
 import gc
+import json
+import os
 import struct
+import subprocess
 import sys
 import threading
 import time
 import types
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+import golden_sweep
 from vidtldr import costmodel, merging, model, saliency
 from vidtldr.harness import clips, runner, tensorio
 from vidtldr.harness.config import MODES, InvariantError, parse_config_text
@@ -248,25 +251,11 @@ def test_clean_forward_frame_ratios_shape(tmp_path):
 
 
 @pytest.fixture
-def executors(monkeypatch):
-    """Records each executor runner starts, with the names of the tasks
-    submitted to it; the gate is open at any size."""
-    started = []
-
-    class SpyExecutor(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            self.tasks = []
-            started.append(self)
-            super().__init__(*args, **kwargs)
-
-        def submit(self, fn, /, *args, **kwargs):
-            self.tasks.append(fn.__name__)
-            return super().submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(runner, "ThreadPoolExecutor", SpyExecutor)
-    monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", 0)
-    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
-    return started
+def executors():
+    """Records each pool runner starts, with its max_workers and the
+    names of the tasks submitted to it; the gate is open at any size."""
+    with golden_sweep.gate(True) as started:
+        yield started
 
 
 def test_shared_inputs_are_read_only(tmp_path):
@@ -278,10 +267,6 @@ def test_shared_inputs_are_read_only(tmp_path):
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0.0
-
-
-def test_usable_cpus_counts_at_least_one():
-    assert runner._usable_cpus() >= 1
 
 
 def _mode_cfg(tmp_path, mode):
@@ -333,7 +318,6 @@ def test_a_run_builds_its_voxels_once(tmp_path, request, voxel_builds, gate):
 @pytest.mark.parametrize("min_macs", [2**62, 0], ids=["gate-closed", "gate-open"])
 def test_a_run_draws_its_weights_once_through_model(tmp_path, monkeypatch, min_macs):
     monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", min_macs)
-    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
     real = model.init_weights
     calls = []
 
@@ -384,7 +368,6 @@ def test_clean_maps_are_freed_before_a_prune_rollout_run_reduces(
     tmp_path, monkeypatch, min_macs
 ):
     monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", min_macs)
-    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
     head_means, alive = [], []
     rollout, prune = saliency.attention_rollout, merging.prune_lowest
 
@@ -412,12 +395,6 @@ def test_serial_runs_start_no_thread(tmp_path, executors, monkeypatch):
         runner.run(cfg)
         runner.clean_forward(cfg)
     assert executors == []
-    monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", 0)
-    for mode in MODES:  # on one CPU
-        runner.run(_mode_cfg(tmp_path, mode))
-    runner.clean_forward(cfg)
-    assert executors == []
     assert threading.active_count() == threads
 
 
@@ -430,8 +407,56 @@ def test_large_runs_draw_weights_on_a_second_thread(tmp_path, executors, mode):
     assert [e.tasks for e in executors] == [["draw", "reduced"] if overlapped else ["draw"]]
     runner.clean_forward(cfg)
     assert [e.tasks for e in executors][1:] == [["draw"]]
+    assert [e.max_workers for e in executors] == [1, 1]
     assert threading.active_count() == threads
     assert res.final_state.count == (8 if mode == "baseline" else 4)
+
+
+# Pins itself to one CPU, runs the config in argv[1] with the gate forced
+# open and prints each pool's max_workers and tasks.
+PINNED_RUN = """\
+import json, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+assert len(os.sched_getaffinity(0)) == 1
+from golden_sweep import gate
+from vidtldr.harness import runner
+from vidtldr.harness.config import parse_config_text
+with gate(True) as pools:
+    runner.run(parse_config_text(sys.argv[1]))
+print(json.dumps([[pool.max_workers, pool.tasks] for pool in pools]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
+def test_the_thread_plan_does_not_depend_on_the_host(tmp_path, monkeypatch):
+    """On one CPU, an open gate still submits the draw and the reduced
+    forward to one worker, and the run's artifacts equal those of a
+    serial run in this process."""
+    text = BASE + (
+        "run.seed = 3\nrun.mode = vidtldr\nrun.schedule = 2,2\nout.dir = out\n"
+        "dump.attention = true\ndump.tokens = true\n"
+    )
+    path = os.pathsep.join([str(Path(__file__).parents[1] / "src"), str(Path(__file__).parent)])
+    (tmp_path / "child").mkdir()
+    child = subprocess.run(
+        [sys.executable, "-c", PINNED_RUN, text], cwd=tmp_path / "child",
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert json.loads(child.stdout) == [[1, ["draw", "reduced"]]]
+    monkeypatch.chdir(tmp_path)
+    res = runner.run(parse_config_text(text))
+    child_dir = tmp_path / "child" / "out" / res.run_id
+    names = sorted(p.name for p in res.out_dir.iterdir())
+    assert names == sorted(p.name for p in child_dir.iterdir())
+    assert len(names) == 11
+    for name in names:
+        mine, theirs = (d / name for d in (res.out_dir, child_dir))
+        if name == "metrics.csv":  # wall_ms aside
+            mine, theirs = ([r[:-1] for r in csv.reader(p.read_text().splitlines())]
+                            for p in (mine, theirs))
+        else:
+            mine, theirs = mine.read_bytes(), theirs.read_bytes()
+        assert mine == theirs, name
 
 
 class Boom(Exception):
