@@ -27,19 +27,6 @@ class InfeasibleScheduleError(ValueError):
     """Raised when a layer cannot remove the tokens its schedule asks for."""
 
 
-@dataclass(frozen=True)
-class CostConfig:
-    """Encoder geometry the FLOPs model needs."""
-
-    n0: int
-    width: int
-    layers: int
-
-    def __post_init__(self):
-        if min(self.n0, self.width, self.layers) < 1:
-            raise ValueError("all cost-model dimensions must be positive")
-
-
 def attention_flops(n: int, width: int) -> int:
     """FLOPs for one self-attention block at n tokens."""
     if n < 1 or width < 1:
@@ -90,20 +77,21 @@ def plan_schedule(n0: int, layers: int, schedule, merging: bool = False) -> list
     return full
 
 
-def schedule_flops(cfg: CostConfig, schedule) -> CostReport:
-    """Total FLOPs for an encoder under a per-layer token-reduction schedule.
+def schedule_flops(n0: int, layers: int, schedule, *, width: int) -> CostReport:
+    """Total FLOPs for an encoder of ``layers`` layers at ``width``, entered
+    by ``n0`` tokens, under a per-layer token-reduction schedule.
 
     The schedule is planned by plan_schedule without the merge limit.
     Tokens leave a layer after its attention block and before its MLP.
     """
+    if min(n0, width, layers) < 1:
+        raise ValueError("all cost-model dimensions must be positive")
     per_layer: list[int] = []
     trajectory: list[int] = []
-    n = cfg.n0
-    for r in plan_schedule(cfg.n0, cfg.layers, schedule):
+    n = n0
+    for r in plan_schedule(n0, layers, schedule):
         n_out = n - r
-        per_layer.append(
-            attention_flops(n, cfg.width) + mlp_flops(n_out, cfg.width)
-        )
+        per_layer.append(attention_flops(n, width) + mlp_flops(n_out, width))
         trajectory.append(n_out)
         n = n_out
     return CostReport(

@@ -52,11 +52,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_flops(args) -> int:
     cfg = load_config(args.config)
-    cost_cfg = cfg.cost_config()
-    report = costmodel.schedule_flops(cost_cfg, cfg.schedule)
+    report = cfg.cost()
     w = csv.writer(sys.stdout)
     w.writerow(["layer", "tokens_in", "tokens_out", "flops"])
-    n = cost_cfg.n0
+    n = cfg.clip_spec().n_tokens
     for l, (fl, n_out) in enumerate(zip(report.per_layer_flops, report.token_trajectory)):
         w.writerow([l, n, n_out, fl])
         n = n_out

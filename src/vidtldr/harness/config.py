@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .. import saliency
-from ..costmodel import CostConfig, plan_schedule
+from .. import costmodel, saliency
+from ..costmodel import plan_schedule
 from ..model import ClipSpec, ModelConfig, PruneReducer, TomeReducer, VidTldrReducer
 from .clips import PATTERNS
 
@@ -103,7 +103,7 @@ def _format(value) -> str:
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):
-        return repr(value)
+        return repr(value + 0.0)  # -0.0 + 0.0 is 0.0: the two zeros run alike
     return str(value)
 
 
@@ -164,9 +164,11 @@ class RunConfig:
             temporal_bias=self.temporal_bias,
         )
 
-    def cost_config(self) -> CostConfig:
-        return CostConfig(
-            n0=self.clip_spec().n_tokens, width=self.model_width, layers=self.layers
+    def cost(self) -> costmodel.CostReport:
+        """The cost report of a run of this config, from
+        costmodel.schedule_flops; a run computes it once."""
+        return costmodel.schedule_flops(
+            self.clip_spec().n_tokens, self.layers, self.schedule, width=self.model_width
         )
 
     def canonical_text(self) -> str:

@@ -90,11 +90,16 @@ RATIO_HEADER = ["frame_index", "ratio_attentiveness", "ratio_rollout", "ratio_ma
 MASS_HEADER = ["tube_index", "frame_group", "mass_share"]
 COMPARE_HEADER = ["run_id", "mode", "total_flops", "final_tokens", "token_trajectory", "feature_distance"]
 
-# Analytical MACs from which a run uses two threads. Six-mode rounds at
-# width 64 on a 2-vCPU host (one BLAS thread, 20 alternating pairs), two
-# threads against one: 288 vs 292 ms at 64 tokens (vidtldr 14.7M MACs,
-# faster in 12/20), 375 vs 396 ms at 128 (32.7M, 13/20) and 469 vs
-# 522 ms at 196 (56.7M, 18/20). Two threads win most pairs only at 196.
+# Analytical MACs from which a run uses two threads. Below it a second
+# thread costs memory, since both forwards' arrays are alive at once, and
+# saves no time. Six-mode rounds at width 64 on a 2-vCPU host (one BLAS
+# thread, 20 alternating pairs), two threads against one: 288 vs 292 ms
+# at 64 tokens (vidtldr 14.7M MACs, faster in 12/20), 375 vs 396 ms at
+# 128 (32.7M, 13/20) and 469 vs 522 ms at 196 (56.7M, 18/20). On the
+# 64-token desk-sweep benchmark (same host, 10 alternating pairs of 20 s
+# runs, medians), two threads raised peak RSS from 46.77 to 48.10 MB,
+# higher in 10/10 pairs (one-thread IQR 0.07 MB), at 34.6 vs 34.8 ms
+# per run (IQR 4.9 ms).
 CONCURRENT_MIN_MACS = 10**8
 
 
@@ -211,7 +216,7 @@ def _execute(cfg: RunConfig, sink=None):
     the (n_groups, 3) per-frame ratios at the first layer (attentiveness,
     rollout row 0, masked sharpness saliency), the result forward, whose
     maps go on to ``sink``, and the cost report its trajectory matches."""
-    cost = costmodel.schedule_flops(cfg.cost_config(), cfg.schedule)
+    cost = cfg.cost()
     reducer = cfg.reducers(None)[cfg.mode]
     spec, model_cfg = cfg.clip_spec(), cfg.model_config()
     head_means, masked = [], []
@@ -322,7 +327,7 @@ def _write_artifacts(
         dump_tensor(run_dir / "masses.vtdr", final.masses.astype(np.float32))
 
 
-def _read_artifacts(run_dir: Path) -> tuple[np.ndarray, int, list[str]]:
+def _read_artifacts(run_dir: Path) -> tuple[np.ndarray, int, list[int]]:
     """A completed run's pooled features, total FLOPs and token trajectory."""
     try:
         pooled = load_tensor(run_dir / "pooled.vtdr")
@@ -333,11 +338,13 @@ def _read_artifacts(run_dir: Path) -> tuple[np.ndarray, int, list[str]]:
         with open(path, newline="") as f:
             recs = list(csv.DictReader(f))
         total = sum(int(rec["flops"]) for rec in recs)
-        trajectory = [rec["token_count"] for rec in recs]
+        trajectory = [int(rec["token_count"]) for rec in recs]
     except (KeyError, TypeError, ValueError) as e:
         raise ArtifactError(f"{path}: malformed rows: {e!r}") from None
     if not trajectory:
         raise ArtifactError(f"{path}: no layer rows")
+    if min(trajectory) < 1:
+        raise ArtifactError(f"{path}: token count {min(trajectory)} is below 1")
     return pooled, total, trajectory
 
 
@@ -347,9 +354,9 @@ def compare(run_dirs: list) -> tuple[list[str], list[list[str]]]:
     The first directory is the reference; feature_distance is the
     cosine distance between each run's pooled final features and the
     reference's (exactly 0.0 for bit-identical features). A config.txt,
-    pooled.vtdr or metrics.csv that does not parse raises ArtifactError,
-    and pooled features of another shape than the reference's raise
-    InvariantError.
+    pooled.vtdr or metrics.csv that does not parse, or a token count
+    below 1, raises ArtifactError, and pooled features of another shape
+    than the reference's raise InvariantError.
     """
     if len(run_dirs) < 2:
         raise InvariantError("compare needs at least 2 run directories")
@@ -380,7 +387,7 @@ def compare(run_dirs: list) -> tuple[list[str], list[list[str]]]:
         else:
             dist = 1.0 - numerics.cosine_sim(pooled.ravel(), ref_pooled.ravel())
         rows.append([
-            c.run_id, c.mode, str(total), trajectory[-1],
-            " ".join(trajectory), _fmt(dist),
+            c.run_id, c.mode, str(total), str(trajectory[-1]),
+            " ".join(map(str, trajectory)), _fmt(dist),
         ])
     return COMPARE_HEADER, rows

@@ -115,13 +115,12 @@ REF_COLUMN = [237.6e9, 243.1e9, 248.6e9, 254.0e9, 259.5e9, 265.0e9, 270.5e9]
 
 
 def test_criterion_01_cost_table(capsys):
-    cfg = costmodel.CostConfig(n0=2352, width=768, layers=12)
-    base = costmodel.schedule_flops(cfg, []).total_flops
+    def total(schedule):
+        return costmodel.schedule_flops(2352, 12, schedule, width=768).total_flops
+
+    base = total([])
     base_err = abs(base - REF_BASE_TOTAL) / REF_BASE_TOTAL
-    totals = [
-        costmodel.schedule_flops(cfg, [0] * (l - 1) + [400]).total_flops
-        for l in range(1, 8)
-    ]
+    totals = [total([0] * (l - 1) + [400]) for l in range(1, 8)]
     col_errs = [abs(t - ref) / ref for t, ref in zip(totals, REF_COLUMN)]
     delta_errs = np.abs(np.diff(totals) - np.diff(REF_COLUMN))
     ok = base_err <= 0.02 and max(col_errs) <= 0.02 and delta_errs.max() <= 0.2 * GIGA
@@ -142,9 +141,8 @@ def test_criterion_02_later_reduction_costs_more(capsys):
         width = int(rng.integers(16, 769))
         layers = int(rng.integers(2, 13))
         r = int(rng.integers(1, n0 // 2 + 1))
-        cfg = costmodel.CostConfig(n0=n0, width=width, layers=layers)
         totals = [
-            costmodel.schedule_flops(cfg, [0] * l + [r]).total_flops
+            costmodel.schedule_flops(n0, layers, [0] * l + [r], width=width).total_flops
             for l in range(layers)
         ]
         if not all(b > a for a, b in zip(totals, totals[1:])):

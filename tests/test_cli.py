@@ -70,9 +70,7 @@ def test_flops_table(tmp_path, capsys):
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert rows[0] == ["layer", "tokens_in", "tokens_out", "flops"]
     assert len(rows) == 1 + 4 + 1
-    report = costmodel.schedule_flops(
-        costmodel.CostConfig(n0=8, width=32, layers=4), [2, 2]
-    )
+    report = costmodel.schedule_flops(8, 4, [2, 2], width=32)
     assert rows[1][1:3] == ["8", "6"]
     assert rows[2][1:3] == ["6", "4"]
     assert [int(r[3]) for r in rows[1:5]] == list(report.per_layer_flops)
@@ -120,6 +118,8 @@ def test_compare_command(tmp_path, capsys):
                        "token_trajectory", "feature_distance"]
     assert rows[1][1] == "baseline"
     assert rows[2][1] == "tome"
+    assert rows[1][3:5] == ["8", "8 8 8 8"]
+    assert rows[2][3:5] == ["4", "6 4 4 4"]
     assert rows[1][5] == "0.0"
 
 
@@ -214,6 +214,26 @@ def test_compare_header_only_metrics_exit_code(tmp_path, capsys):
     assert cli.main(["compare"] + dirs) == cli.EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("io error") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("counts", [
+    {0: "-7", -1: "abc"}, {0: "-7"}, {-1: "abc"}, {1: "0"}, {-1: "2.5"}, {0: ""},
+], ids=["negative-and-text", "negative", "text", "zero", "fraction", "empty"])
+def test_compare_malformed_token_count_exit_code(tmp_path, capsys, counts):
+    dirs = _two_runs(tmp_path, capsys)
+    metrics = tmp_path / "out" / dirs[1].split("/")[-1] / "metrics.csv"
+    with open(metrics, newline="") as f:
+        rows = list(csv.reader(f))
+    column = rows[0].index("token_count")
+    for row, count in counts.items():
+        rows[1:][row][column] = count
+    with open(metrics, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    assert cli.main(["compare"] + dirs) == cli.EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("io error") and captured.err.count("\n") == 1
+    assert str(metrics) in captured.err
 
 
 def test_compare_width_mismatch_exit_code(tmp_path, capsys):

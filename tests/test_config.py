@@ -164,6 +164,19 @@ def test_run_id_stable_and_sensitive():
     assert all(ch in "0123456789abcdef" for ch in a.run_id)
 
 
+def test_signed_zeros_share_one_canonical_text():
+    """-0.0 and 0.0 run alike, so they write one text and hash to one run_id."""
+    parsed = [
+        parse_config_text(f"run.seed = 1\nmodel.temporal_bias = {zero}\n")
+        for zero in ("0.0", "-0.0", "0", "-0")
+    ]
+    built = [dataclasses.replace(parsed[0], temporal_bias=zero) for zero in (0.0, -0.0)]
+    texts = {cfg.canonical_text() for cfg in parsed + built}
+    assert len(texts) == 1
+    assert "model.temporal_bias = 0.0\n" in texts.pop()
+    assert len({cfg.run_id for cfg in parsed + built}) == 1
+
+
 def test_load_config_roundtrip(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("run.seed = 4\nrun.mode = vidtldr\nrun.schedule = 8,8\n")
@@ -272,3 +285,20 @@ def test_schema_round_trip_and_identity(cfg):
     for f in dataclasses.fields(config.RunConfig):
         other = dataclasses.replace(cfg, **{f.name: _changed(f.name, getattr(cfg, f.name))})
         assert other.run_id != cfg.run_id, f.name
+
+
+@settings(max_examples=50, deadline=None)
+@given(cfg=run_configs())
+def test_cost_matches_the_closed_form(cfg):
+    """Per layer, 4nC^2 + 2n^2C of attention at the n tokens entering it
+    and 8n'C^2 of MLP at the n' leaving it, over model.layers layers."""
+    n, c = cfg.clip_spec().n_tokens, cfg.model_width
+    expected = []
+    for r in cfg.schedule + (0,) * (cfg.layers - len(cfg.schedule)):
+        expected.append(4 * n * c**2 + 2 * n**2 * c + 8 * (n - r) * c**2)
+        n -= r
+    report = cfg.cost()
+    assert report.per_layer_flops == tuple(expected)
+    assert report.total_flops == sum(expected)
+    assert len(report.token_trajectory) == cfg.layers
+    assert report.token_trajectory[-1] == cfg.clip_spec().n_tokens - sum(cfg.schedule)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vidtldr import costmodel
-from vidtldr.costmodel import CostConfig, InfeasibleScheduleError
+from vidtldr.costmodel import InfeasibleScheduleError
 
 
 def oracle_schedule_total(n0, width, layers, ratio, schedule):
@@ -24,8 +24,7 @@ def oracle_schedule_total(n0, width, layers, ratio, schedule):
 
 def layer_flops(n, width):
     """FLOPs of one unreduced layer at n tokens, from schedule_flops."""
-    cfg = CostConfig(n0=n, width=width, layers=1)
-    return costmodel.schedule_flops(cfg, []).per_layer_flops[0]
+    return costmodel.schedule_flops(n, 1, [], width=width).per_layer_flops[0]
 
 
 def test_layer_flops_unit_case():
@@ -46,21 +45,20 @@ def test_attention_and_mlp_flops_reject_bad_dims():
         costmodel.attention_flops(0, 8)
     with pytest.raises(ValueError):
         costmodel.mlp_flops(4, 0)
-    with pytest.raises(ValueError):
-        CostConfig(n0=0, width=8, layers=2)
+    for n0, layers, width in ((0, 2, 8), (4, 0, 8), (4, 2, 0)):
+        with pytest.raises(ValueError, match="positive"):
+            costmodel.schedule_flops(n0, layers, [], width=width)
 
 
 def test_zero_schedule_is_layerwise_constant():
-    cfg = CostConfig(n0=196, width=384, layers=12)
-    report = costmodel.schedule_flops(cfg, [])
+    report = costmodel.schedule_flops(196, 12, [], width=384)
     assert report.total_flops == 12 * layer_flops(196, 384)
     assert report.token_trajectory == (196,) * 12
     assert report.token_trajectory[-1] == 196
 
 
 def test_schedule_trajectory_hand_case():
-    cfg = CostConfig(n0=8, width=4, layers=5)
-    report = costmodel.schedule_flops(cfg, [2, 2])
+    report = costmodel.schedule_flops(8, 5, [2, 2], width=4)
     assert report.token_trajectory == (6, 4, 4, 4, 4)
     assert report.token_trajectory[-1] == 4
     assert sum(report.per_layer_flops) == report.total_flops
@@ -78,14 +76,12 @@ def test_schedule_flops_matches_oracle():
             r = int(rng.integers(0, max(1, (n - 1) // 2)))
             sched.append(r)
             n -= r
-        cfg = CostConfig(n0=n0, width=width, layers=layers)
-        report = costmodel.schedule_flops(cfg, sched)
+        report = costmodel.schedule_flops(n0, layers, sched, width=width)
         assert report.total_flops == oracle_schedule_total(n0, width, layers, 4, sched)
 
 
 def test_results_are_exact_ints():
-    cfg = CostConfig(n0=2352, width=768, layers=12)
-    report = costmodel.schedule_flops(cfg, [0, 400])
+    report = costmodel.schedule_flops(2352, 12, [0, 400], width=768)
     assert isinstance(report.total_flops, int)
     assert all(isinstance(f, int) for f in report.per_layer_flops)
 
@@ -113,30 +109,30 @@ def test_plan_schedule_merge_limit():
 
 
 def test_schedule_validation():
-    cfg = CostConfig(n0=16, width=8, layers=3)
+    def flops(schedule):
+        return costmodel.schedule_flops(16, 3, schedule, width=8)
+
     with pytest.raises(ValueError):
-        costmodel.schedule_flops(cfg, [1, 1, 1, 1])
+        flops([1, 1, 1, 1])
     with pytest.raises(ValueError):
-        costmodel.schedule_flops(cfg, [-1])
+        flops([-1])
     with pytest.raises(InfeasibleScheduleError):
-        costmodel.schedule_flops(cfg, [16])
+        flops([16])
     with pytest.raises(InfeasibleScheduleError):
-        costmodel.schedule_flops(cfg, [8, 8])
+        flops([8, 8])
     # exactly one token left is still feasible
-    report = costmodel.schedule_flops(cfg, [8, 7])
+    report = flops([8, 7])
     assert report.token_trajectory[-1] == 1
 
 
 def test_more_reduction_never_costs_more():
-    cfg = CostConfig(n0=128, width=64, layers=6)
-    base = costmodel.schedule_flops(cfg, [10]).total_flops
-    assert costmodel.schedule_flops(cfg, [20]).total_flops < base
+    base = costmodel.schedule_flops(128, 6, [10], width=64).total_flops
+    assert costmodel.schedule_flops(128, 6, [20], width=64).total_flops < base
 
 
 def test_earlier_placement_is_cheaper():
-    cfg = CostConfig(n0=100, width=32, layers=8)
     totals = [
-        costmodel.schedule_flops(cfg, [0] * l + [30]).total_flops
+        costmodel.schedule_flops(100, 8, [0] * l + [30], width=32).total_flops
         for l in range(8)
     ]
     assert totals == sorted(totals)

@@ -21,7 +21,7 @@ from numpy.testing import assert_array_equal
 import golden_sweep
 from vidtldr import costmodel, merging, model, saliency
 from vidtldr.harness import clips, runner, tensorio
-from vidtldr.harness.config import MODES, InvariantError, parse_config_text
+from vidtldr.harness.config import MODES, InvariantError, load_config, parse_config_text
 from vidtldr.model import ClipSpec, ModelConfig
 
 # 8 tokens, 4 layers: small enough that a run is a few milliseconds
@@ -61,9 +61,7 @@ def test_metrics_rows_match_cost_model(tmp_path):
     rows = read_csv(res.out_dir / "metrics.csv")
     assert [r["layer"] for r in rows] == ["0", "1", "2", "3"]
     assert [int(r["token_count"]) for r in rows] == [6, 4, 4, 4]
-    report = costmodel.schedule_flops(
-        costmodel.CostConfig(n0=8, width=32, layers=4), [2, 2]
-    )
+    report = costmodel.schedule_flops(8, 4, [2, 2], width=32)
     assert [int(r["flops"]) for r in rows] == list(report.per_layer_flops)
     for r in rows:
         assert r["run_id"] == res.run_id
@@ -334,6 +332,31 @@ def test_a_run_draws_its_weights_once_through_model(tmp_path, monkeypatch, min_m
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("min_macs", [2**62, 0], ids=["gate-closed", "gate-open"])
+def test_a_run_costs_its_config_once(tmp_path, monkeypatch, min_macs):
+    """A tracer that sums each costmodel.schedule_flops result into a
+    run's model MACs counts one call per run and none per config load."""
+    monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", min_macs)
+    real = costmodel.schedule_flops
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(costmodel, "schedule_flops", spy)
+    for mode in MODES:
+        path = tmp_path / f"{mode}.cfg"
+        path.write_text(_mode_cfg(tmp_path, mode).canonical_text())
+        cfg = load_config(path)
+        assert calls == [], mode
+        runner.run(cfg)
+        assert len(calls) == 1, mode
+        calls.clear()
+    runner.clean_forward(cfg)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("gate", ["serial", "overlapped"])
 def test_clean_forward_is_a_baseline_runs_forwards(
     tmp_path, request, monkeypatch, voxel_builds, gate
@@ -391,7 +414,7 @@ def test_serial_runs_start_no_thread(tmp_path, executors, monkeypatch):
     monkeypatch.setattr(runner, "CONCURRENT_MIN_MACS", 10**8)
     for mode in MODES:  # below the size test
         cfg = _mode_cfg(tmp_path, mode)
-        assert costmodel.schedule_flops(cfg.cost_config(), []).total_flops < 10**8
+        assert dataclasses.replace(cfg, schedule=()).cost().total_flops < 10**8
         runner.run(cfg)
         runner.clean_forward(cfg)
     assert executors == []
