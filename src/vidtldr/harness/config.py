@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -39,10 +40,11 @@ MAX_FLOAT = 1e30
 
 
 def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value, 10)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+    # ASCII digits only: int() also takes "1_6", "+16" and other scripts'
+    # digits, each of which would share the plain spelling's run_id.
+    if re.fullmatch(r"-?[0-9]+", value) is None:
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    return int(value)
 
 
 def _parse_seed(key: str, value: str) -> int:
@@ -54,7 +56,8 @@ def _parse_seed(key: str, value: str) -> int:
 
 def _parse_float(key: str, value: str) -> float:
     try:
-        x = float(value)
+        # float() also takes "1_8" and other scripts' digits
+        x = float(value) if value.isascii() and "_" not in value else math.nan
     except ValueError:
         x = math.nan
     if not abs(x) <= MAX_FLOAT:  # also rejects nan

@@ -52,7 +52,10 @@ out.dir, made before the forwards, which is then renamed to <run_id>/,
 replacing the directory of an earlier run of the same config. A run
 that raises removes what it wrote, once every thread that could still
 write there is joined, so <run_id>/ is either complete or as an earlier
-run left it.
+run left it. If the calling thread raises while the worker holds the
+reduced forward, _execute cancels it if it is still queued; a running
+one stops at its next layer's sink, so the error reaches the caller
+after at most one more layer of it.
 
 Each layer's attention maps leave forward_clip only through its sink.
 The clean forward's sink keeps the head means for the rollout, dropped
@@ -71,6 +74,7 @@ from __future__ import annotations
 import csv
 import shutil
 import tempfile
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -228,27 +232,41 @@ def _execute(cfg: RunConfig, sink=None):
         if reducer is None and sink is not None:
             sink(layer, maps)
 
+    failed = threading.Event()
+
+    def pending_sink(layer, maps):
+        if failed.is_set():
+            raise RuntimeError(f"stopped after layer {layer}: the calling thread failed")
+        if sink is not None:
+            sink(layer, maps)
+
     with _inputs(cfg, cost.total_flops) as (synth, voxels, weights, pool):
 
-        def reduced(by):
+        def reduced(by, sink):
             return forward_clip(voxels, spec, model_cfg, weights, cfg.schedule, by, sink=sink)
 
         serial = pool is None or reducer is None or getattr(reducer, "reads_rollout", False)
-        pending = None if serial else pool.submit(reduced, reducer)
-        clean = forward_clip(voxels, spec, model_cfg, weights, [], None, sink=reference_sink)
-        rollout = saliency.attention_rollout(head_means)
-        frame_of = spec.tube_frame_groups()
-        ratios = np.stack([
-            saliency.frame_score_ratio(s, frame_of, spec.n_groups)
-            for s in (saliency.attentiveness(head_means[0]), rollout[0], masked[0])
-        ], axis=1)
+        pending = None if serial else pool.submit(reduced, reducer, pending_sink)
+        try:
+            clean = forward_clip(voxels, spec, model_cfg, weights, [], None, sink=reference_sink)
+            rollout = saliency.attention_rollout(head_means)
+            frame_of = spec.tube_frame_groups()
+            ratios = np.stack([
+                saliency.frame_score_ratio(s, frame_of, spec.n_groups)
+                for s in (saliency.attentiveness(head_means[0]), rollout[0], masked[0])
+            ], axis=1)
+        except BaseException:
+            if pending is not None:  # stop it queued, or at its next layer's end
+                pending.cancel()
+                failed.set()
+            raise
         head_means.clear()  # freed before the reduced forward runs or is awaited
         if pending is not None:
             result = pending.result()
         elif reducer is None:
             result = clean
         else:
-            result = reduced(cfg.reducers(rollout)[cfg.mode])
+            result = reduced(cfg.reducers(rollout)[cfg.mode], sink)
 
     observed = tuple(tr.tokens_out for tr in result.traces)
     if observed != cost.token_trajectory:

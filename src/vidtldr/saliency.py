@@ -4,9 +4,11 @@ Three per-token scores over a square, row-stochastic attention map:
 
 * attentiveness: column mean, how much attention a token receives.
 * rollout: column mean of the product of head-averaged maps from the
-  last layer down to each target layer, from one chain of products
-  P_l = P_{l+1} M_l. It multiplies the raw head-mean maps, without
-  Abnar & Zuidema's residual term 0.5 * A + 0.5 * I.
+  last layer down to each target layer. Only the column means are
+  kept, so it is computed as one chain of (1, n) row vectors,
+  v_l = v_{l+1} M_l, starting from the last map's attentiveness: n^2
+  multiply-adds per layer, not n^3. It multiplies the raw head-mean
+  maps, without Abnar & Zuidema's residual term 0.5 * A + 0.5 * I.
 * sharpness saliency: min-max normalized negative row entropy, how
   focused a token's outgoing attention is. Background suppression
   zeroes tokens at or below the mean score and rescales the rest, and
@@ -53,22 +55,24 @@ def attention_rollout(per_layer_probs: Sequence[np.ndarray]) -> np.ndarray:
 
     ``per_layer_probs`` holds head-averaged attention maps for every
     layer of a no-reduction forward, in layer order. Returns a float64
-    (layers, n) table whose row l is the column mean of P_l, where
-    P_last is the last map and P_l = P_{l+1} M_l (the later layer on the
-    left). The maps are the raw head means: no 0.5 * I residual term is
-    added as in Abnar & Zuidema's rollout. The last row equals
-    ``attentiveness`` of the last map exactly.
+    (layers, n) table whose row l is, in exact arithmetic, the column
+    mean of P_l, where P_last is the last map and P_l = P_{l+1} M_l
+    (the later layer on the left). Since the column mean of P_{l+1} M_l
+    is the column mean of P_{l+1} times M_l, the rows come from one
+    vector chain: the last row is ``attentiveness`` of the last map,
+    exactly, and each earlier row is ``numerics.matmul`` of the next
+    row, as a (1, n) matrix that matmul rounds to float32, and M_l. So
+    every row but the last holds float32 values widened to float64. The maps are the raw head means:
+    no 0.5 * I residual term is added as in Abnar & Zuidema's rollout.
     """
     if len(per_layer_probs) == 0:
         raise ValueError("attention_rollout needs at least one map")
     mats = [_require_square_stochastic(m, "attention_rollout") for m in per_layer_probs]
     if any(m.shape != mats[0].shape for m in mats):
         raise ValueError("attention_rollout maps must share one token count")
-    prod = mats[-1]
-    rows = [attentiveness(prod)]
+    rows = [attentiveness(mats[-1])]
     for m in reversed(mats[:-1]):
-        prod = numerics.matmul(prod, m)
-        rows.append(attentiveness(prod))
+        rows.append(numerics.matmul(rows[-1][None, :], m)[0].astype(np.float64))
     return np.stack(rows[::-1])
 
 

@@ -28,8 +28,11 @@ on sys.path itself, so it runs from a plain checkout:
     python tests/golden_sweep.py            # check; exit 1 on a moved digest
     python tests/golden_sweep.py --record   # rewrite golden_sweep.json
 
-Re-record the table only for an intended output change, and list every
-moved entry with it.
+Each gate's report lists the moved keys, then one count per artifact
+name (the key after its shape, seed, pattern and mode, such as
+``frame_ratio.csv: 60`` or ``run.clean/features: 4``), so one line shows
+which files a change moved. Re-record the table only for an intended
+output change, and list every moved entry with it.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import os
 import sys
 import tempfile
 import time
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -160,6 +164,9 @@ def main() -> int:
                   f"{time.perf_counter() - t0:.1f} s")
             for k in moved:
                 print(f"  moved: {k}")
+            # one count per artifact: what follows shape/seed/pattern/mode/
+            for artifact, count in sorted(Counter(k.split("/", 4)[4] for k in moved).items()):
+                print(f"  {artifact}: {count}")
     return 1 if bad else 0
 
 

@@ -4,7 +4,9 @@
 sum that starts from +0.0 and adds the products of each k in increasing
 k. ``cosine_matrix`` is the reference cosine matrix built on it, the one
 ``numerics.cosine_argmax``, ``numerics._cosines`` and
-``numerics.cosine_sim`` must reproduce. ``oracle_match`` and
+``numerics.cosine_sim`` must reproduce. ``oracle_rollout`` is the
+vector chain ``saliency.attention_rollout`` must reproduce, built on
+``k_ordered_sum``. ``oracle_match`` and
 ``oracle_merge`` are the exhaustive matching and the per-group merge
 that ``merging`` is checked against; ``oracle_groups`` spells out the
 groups a merge list makes, and ``oracle_mass_update`` the masses
@@ -41,6 +43,19 @@ def cosine_matrix(a, b) -> np.ndarray:
     eps = numerics.COSINE_NORM_EPS
     flat = (na < eps) | (nb < eps)
     return np.where(flat, 0.0, dots / np.where(flat, 1.0, na * nb))
+
+
+def oracle_rollout(maps) -> np.ndarray:
+    """(layers, n) rollout table as a plain vector chain: the last row is
+    the last map's float64 column mean, and each earlier row is the next
+    row rounded to float32, times that layer's map as a k-ordered sum,
+    rounded to float32 and widened to float64."""
+    rows = [np.asarray(maps[-1], dtype=np.float32).astype(np.float64).mean(axis=0)]
+    for m in reversed(maps[:-1]):
+        v = rows[-1].astype(np.float32).astype(np.float64)
+        m64 = np.asarray(m, dtype=np.float32).astype(np.float64)
+        rows.append(k_ordered_sum(v, m64).astype(np.float32).astype(np.float64))
+    return np.stack(rows[::-1])
 
 
 def oracle_match(keys, r):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vidtldr.costmodel import plan_schedule
-from vidtldr.harness import config
+from vidtldr.harness import cli, config
 from vidtldr.harness.config import ConfigError, InvariantError, parse_config_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -82,6 +82,31 @@ def test_type_errors():
         parse_config_text("run.seed = 1\ndump.tokens = yes\n")
     with pytest.raises(ConfigError):
         parse_config_text("run.seed = -4\n")
+
+
+@pytest.mark.parametrize("line", [
+    "run.seed = 1_6",
+    "run.seed = ١٦",  # Arabic-Indic 16
+    "run.seed = １６",  # fullwidth 16
+    "run.seed = +16",
+    "clip.frames = 0_8",
+    "clip.frames = +8",
+    "run.mode = tome\nrun.schedule = 2,٢",
+    "model.temporal_bias = 1_8",
+    "model.temporal_bias = ١.8",
+    "model.temporal_bias = 1.٨",
+])
+def test_numbers_are_plain_ascii(line, tmp_path, capsys):
+    """Integers are ASCII digits with an optional leading '-', and floats
+    ASCII without '_': no other spelling may share a plain one's run_id."""
+    key = line.split("\n")[-1].split(" =")[0]
+    text = ("" if key == "run.seed" else "run.seed = 16\n") + line + "\n"
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config_text(text)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["flops", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error")
 
 
 def test_enum_validation():

@@ -641,6 +641,39 @@ def test_forward_failure_reaches_caller_and_joins_worker(tmp_path, executors, mo
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("mode", ["tome", "vidtldr"])
+def test_failed_clean_forward_stops_the_reduced_forward(tmp_path, executors, monkeypatch, mode):
+    """The calling thread fails in layer 0 of the clean forward while the
+    worker's reduced forward waits at its first layer: the run raises that
+    error, and the worker makes at most one attention_forward call after
+    the failure, not one per layer."""
+    real_draw, real_attention = model.init_weights, model.attention_forward
+    worker, events = [], []
+    failed = threading.Event()
+
+    def draw(*args, **kwargs):
+        worker.append(threading.get_ident())
+        return real_draw(*args, **kwargs)
+
+    def attention_forward(*args):
+        if threading.get_ident() not in worker:  # the clean forward
+            events.append("failed")
+            failed.set()
+            raise Boom("raised on purpose")
+        assert failed.wait(30)
+        events.append("worker")
+        return real_attention(*args)
+
+    monkeypatch.setattr(model, "init_weights", draw)
+    monkeypatch.setattr(model, "attention_forward", attention_forward)
+    threads = threading.active_count()
+    raised = _run_with_deadline(_mode_cfg(tmp_path, mode))
+    assert isinstance(raised, Boom) and str(raised) == "raised on purpose"
+    assert [e.tasks for e in executors] == [["draw", "reduced"]]
+    assert events[0] == "failed" and events.count("worker") <= 1
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("mode", ["baseline", "vidtldr"])
 @pytest.mark.parametrize("piece", [0, 1, 4])  # the embedding, layer 0, the last layer
 def test_draw_failure_reaches_caller(tmp_path, executors, monkeypatch, mode, piece):
@@ -771,29 +804,40 @@ def test_failed_dump_in_the_reduced_forward_leaves_no_run_directory(tmp_path, ex
 
 @pytest.mark.parametrize("mode", ["tome", "vidtldr"])
 def test_failed_rollout_joins_a_dumping_worker(tmp_path, executors, mode):
+    """The worker's layer-0 dump is written after the caller raised, and
+    the run removes it: it joins the worker first. The reduced forward
+    stops at its next layer boundary, so no later layer is dumped."""
     cfg = make_cfg(tmp_path, mode=mode, extra="dump.attention = true\n")
-    raised = threading.Event()
+    dumping, joining = threading.Event(), threading.Event()
     written = []
 
     def rollout_fails(*args):
-        raised.set()
+        assert dumping.wait(30)  # the worker is in its layer-0 sink
         raise Boom("raised on purpose")
 
     def dump_after_the_raise(path, array):
-        assert raised.wait(30)
-        time.sleep(0.05)  # the caller is unwinding meanwhile
+        dumping.set()
+        assert joining.wait(30)  # the caller has unwound to the pool's join
         tensorio.dump_tensor(path, array)
         written.append(path.name)
 
     def patch(mp):
-        raised.clear()
+        dumping.clear()
+        joining.clear()
+        shutdown = runner.ThreadPoolExecutor.shutdown
+
+        def join(pool, *args, **kwargs):
+            joining.set()
+            return shutdown(pool, *args, **kwargs)
+
+        mp.setattr(runner.ThreadPoolExecutor, "shutdown", join)
         mp.setattr(saliency, "attention_rollout", rollout_fails)
         mp.setattr(runner, "dump_tensor", dump_after_the_raise)
 
     _failing_runs_leave_out_as_it_was(cfg, patch)
     assert [e.tasks for e in executors] == [["draw", "reduced"]] * 3
-    # Both failed runs wrote every layer's dump after the caller raised.
-    assert written == [f"attention_l{l:02d}.vtdr" for l in range(4)] * 2
+    # Each failed run wrote layer 0's dump after the caller raised, and no other.
+    assert written == ["attention_l00.vtdr"] * 2
 
 
 def test_rerun_replaces_the_run_directory(tmp_path):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from oracles import oracle_rollout
 
 from vidtldr import numerics, saliency
 
@@ -82,15 +85,61 @@ def test_rollout_matches_product_oracle():
     assert_allclose(got, expect, rtol=0, atol=1e-6)
 
 
-def test_rollout_rows_equal_independent_chains():
-    rng = numerics.make_rng(17)
-    maps = [random_stochastic(rng, 7) for _ in range(5)]
+def _rollout_maps(seed, n, layers, scale):
+    """Row-stochastic float32 maps; a large ``scale`` makes rows nearly
+    one-hot, with entries that underflow towards 0."""
+    rng = numerics.make_rng(seed)
+    return [numerics.row_softmax(scale * rng.normal(size=(n, n)).astype(np.float32))
+            for _ in range(layers)]
+
+
+rollout_maps = st.builds(
+    _rollout_maps, st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 6),
+    st.sampled_from([0.1, 1.0, 8.0, 40.0]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rollout_maps)
+def test_rollout_rows_equal_a_plain_vector_chain(maps):
+    assert_array_equal(saliency.attention_rollout(maps), oracle_rollout(maps))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rollout_maps)
+def test_rollout_rows_are_the_matrix_chains_column_means(maps):
+    """The vector chain's row l equals the column mean of M_{L-1} ... M_l,
+    the product chain's definition, within the rounding both chains do.
+    A float32 rounding moves a value by at most 2**-24 relative plus
+    2**-150 absolute (below the normal range); the float64 sums add far
+    less. All terms are non-negative, so a relative error passes through
+    a product unchanged, and a row-stochastic map does not grow an error
+    row's 1-norm, so each rounding adds at most n * 2**-150 to a row
+    value. Either chain rounds at most L times on the way to a row, so
+    the two differ by less than 2 * L * 2**-24 relative plus
+    2 * L * n * 2**-150 absolute."""
     table = saliency.attention_rollout(maps)
-    for l in range(len(maps)):
+    layers, n = len(maps), maps[0].shape[0]
+    for l in range(layers):
         prod = maps[-1]
         for m in reversed(maps[l:-1]):
             prod = numerics.matmul(prod, m)  # M_{L-1} ... M_l, left to right
-        assert_array_equal(table[l], prod.astype(np.float64).mean(axis=0))
+        assert_allclose(table[l], prod.astype(np.float64).mean(axis=0),
+                        rtol=2 * layers * 2.0**-24, atol=2 * layers * n * 2.0**-150)
+
+
+def test_rollout_is_one_vector_product_per_earlier_layer(monkeypatch):
+    n, layers = 9, 5
+    maps = _rollout_maps(17, n, layers, 1.0)
+    real, operands = numerics.matmul, []
+
+    def spy(a, b):
+        operands.append((np.shape(a), np.shape(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(numerics, "matmul", spy)
+    saliency.attention_rollout(maps)
+    assert operands == [((1, n), (n, n))] * (layers - 1)
 
 
 def test_rollout_input_validation():
