@@ -66,9 +66,8 @@ def _cmd_flops(args) -> int:
 def _cmd_temporal_bias(args) -> int:
     cfg = load_config(args.config)
     _, _, ratios = clean_forward(cfg)
-    out_dir = Path(cfg.out_dir) / cfg.run_id
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "frame_ratio.csv"
+    path = Path(cfg.out_dir) / cfg.run_id / "frame_ratio.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
     write_frame_ratios(path, ratios)
     sys.stdout.write(path.read_bytes().decode())
     for name, col in zip(RATIO_HEADER[1:], ratios.T):
@@ -81,9 +80,8 @@ def _cmd_dump_saliency(args) -> int:
     rows = []
     clean_forward(cfg, lambda layer, maps: rows.append(maps.masked_saliency))
     per_layer = np.stack(rows).astype(np.float32)
-    out_dir = Path(cfg.out_dir) / cfg.run_id
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "saliency.vtdr"
+    path = Path(cfg.out_dir) / cfg.run_id / "saliency.vtdr"
+    path.parent.mkdir(parents=True, exist_ok=True)
     dump_tensor(path, per_layer)
     for l in range(per_layer.shape[0]):
         row = per_layer[l]

@@ -1,9 +1,6 @@
 """Run orchestration: wires clips, model, reduction, costs, and CSV output.
 
-Each run derives two child seeds from run.seed (clip voxels, model
-weights), executes one no-reduction forward (the clean reference: its
-rollout scores and the frame-ratio table) plus the mode's forward, and
-writes its artifacts under <out.dir>/<run_id>/:
+Each run writes its artifacts under <out.dir>/<run_id>/:
 
     config.txt       effective config, canonical form (the run_id hash input)
     metrics.csv      one row per layer: counts, FLOPs, saliency, wall time
@@ -13,60 +10,27 @@ writes its artifacts under <out.dir>/<run_id>/:
     pooled.vtdr      mass-weighted mean of the final token features
     attention_l*.vtdr, tokens.vtdr, masses.vtdr   (optional dumps)
 
-The mode's reducer comes from RunConfig.reducers; with none (baseline)
-the clean forward is the run's result. _execute runs the forwards in
-memory and run writes what they return; clean_forward is _execute of the
-config made baseline, so a run's clean reference is a baseline run's.
-The forwards share only the clip's voxels and the weights, both
-read-only, unless the reducer declares ``reads_rollout`` (prune-rollout)
-and reads the clean rollout table. _inputs builds the voxels once per
-run with clips.synth_clip, from the clip's recipe (clips.SynthClip);
-both forwards read that one array, and nothing holds it once run returns.
-
-A run whose analytical MACs reach CONCURRENT_MIN_MACS uses two threads,
-the calling thread and one pool worker; _inputs makes that choice from
-the run's MACs alone, so a config submits the same tasks on any host.
-The worker runs its tasks in submission order. First comes the weight
-draw into a WeightStream, which _inputs submits before it yields; then,
-unless the mode has no reducer or its reducer reads the rollout, the
-reduced forward, which therefore reads only pieces the draw has already
-published. Meanwhile the calling thread builds the voxels and runs the
-clean forward, each layer waiting only for its own weights, then the
-rollout and the ratios. A pool task that waited on a later one would
-deadlock. Every thread, pool and future of the program lives in this
-module. Below that size the second thread would mostly wait for the
-interpreter lock, so everything runs on the calling thread. The choice
-does not change an output bit: the draw order is init_weights' alone,
-every product is certified independent of BLAS's summation order, and
-nothing reachable from forward_clip keeps state between calls. A call
-joins the thread it starts before it returns or raises.
-
 Everything except the wall_ms column is byte-reproducible for a fixed
-config. wall_ms times each layer of the mode's forward, from the moment
-its weights are drawn; on a large run it may share the CPU with the
-other thread: the clean forward's layers with the draw, the reduced
-forward's with the clean forward.
+config, on either thread plan: the draw order is init_weights' alone,
+every product is certified independent of BLAS's summation order, the
+threads only read the voxels and the weights, and nothing reachable
+from forward_clip keeps state between calls. wall_ms times each layer
+of the result forward from the moment its weights are drawn; with two
+threads it may share the CPU with the other one.
+
+Every thread, pool and future of the program lives in this module, and
+a call joins each thread it starts before it returns or raises.
 
 The artifacts are first written into a new hidden directory under
 out.dir, made before the forwards, which is then renamed to <run_id>/,
 replacing the directory of an earlier run of the same config. A run
 that raises removes what it wrote, once every thread that could still
 write there is joined, so <run_id>/ is either complete or as an earlier
-run left it. If the calling thread raises while the worker holds the
-reduced forward, _execute cancels it if it is still queued; a running
-one stops at its next layer's sink, so the error reaches the caller
-after at most one more layer of it.
+run left it.
 
-Each layer's attention maps leave forward_clip only through its sink.
-The clean forward's sink keeps the head means for the rollout, dropped
-once the ratios are built, and scores layer 0 for frame_ratio.csv, then
-hands the maps on: on a baseline run, whose clean forward is its result,
-to the result sink. That sink writes the layer's probs into the hidden
-directory with dump.attention and takes its metrics.csv mean_saliency,
-so its maps die with the layer; on an overlapped run that work is the
-worker thread's. Of the two forwards, a RunResult keeps only their
-traces (each layer's token count and wall time, and the final state),
-and no n x n map; of the clip, it keeps the recipe and not the voxels.
+Of the two forwards, a RunResult keeps only their traces (each layer's
+token count and wall time, and the final state), and no n x n map; of
+the clip, it keeps the recipe and not the voxels.
 """
 
 from __future__ import annotations
@@ -96,14 +60,14 @@ COMPARE_HEADER = ["run_id", "mode", "total_flops", "final_tokens", "token_trajec
 
 # Analytical MACs from which a run uses two threads. Below it a second
 # thread costs memory, since both forwards' arrays are alive at once, and
-# saves no time. Six-mode rounds at width 64 on a 2-vCPU host (one BLAS
-# thread, 20 alternating pairs), two threads against one: 288 vs 292 ms
-# at 64 tokens (vidtldr 14.7M MACs, faster in 12/20), 375 vs 396 ms at
-# 128 (32.7M, 13/20) and 469 vs 522 ms at 196 (56.7M, 18/20). On the
+# time. Six-mode rounds at width 64 on a 2-vCPU host (one BLAS thread,
+# 20 alternating pairs), two threads against one: 288 vs 292 ms at 64
+# tokens (vidtldr 14.7M MACs, faster in 12/20), 375 vs 396 ms at 128
+# (32.7M, 13/20) and 469 vs 522 ms at 196 (56.7M, 18/20). On the
 # 64-token desk-sweep benchmark (same host, 10 alternating pairs of 20 s
-# runs, medians), two threads raised peak RSS from 46.77 to 48.10 MB,
-# higher in 10/10 pairs (one-thread IQR 0.07 MB), at 34.6 vs 34.8 ms
-# per run (IQR 4.9 ms).
+# runs, medians), two threads took 42.9 vs 38.2 ms per run, slower in
+# 7/10 pairs (one-thread IQR 8.0 ms), and raised peak RSS from 46.74 to
+# 48.01 MB, higher in 10/10 (IQR 0.17 MB).
 CONCURRENT_MIN_MACS = 10**8
 
 
@@ -186,12 +150,17 @@ def _inputs(cfg: RunConfig, macs: int):
     one-worker pool, or None.
 
     run.seed derives two child seeds, one for the clip voxels and one
-    for the model weights. The run's analytical ``macs`` alone choose
-    the plan. From CONCURRENT_MIN_MACS, the pool's one worker draws the
-    weights into a WeightStream while this thread builds the voxels, and
-    runs any task submitted to the pool after the draw, in submission
-    order. Below, there is no pool. Leaving the block, also by an
-    exception, joins the worker.
+    for the model weights. The voxels are built once, with
+    clips.synth_clip, and every forward of the run reads that one
+    read-only array. The run's analytical ``macs`` alone choose the
+    thread plan, so a config submits the same tasks on any host. From
+    CONCURRENT_MIN_MACS, the pool's one worker draws the weights into a
+    WeightStream while this thread builds the voxels, then runs the
+    tasks submitted after the draw, in submission order; so such a task
+    reads only pieces the draw has published, and one that waited on a
+    later task would deadlock. Below, there is no pool and everything
+    runs on this thread. Leaving the block, also by an exception, joins
+    the worker.
     """
     spec = cfg.clip_spec()
     clip_seed, weight_seed = numerics.spawn_seeds(cfg.seed, 2)
@@ -219,7 +188,20 @@ def _execute(cfg: RunConfig, sink=None):
     no-reduction forward, the attention_rollout table of its head means,
     the (n_groups, 3) per-frame ratios at the first layer (attentiveness,
     rollout row 0, masked sharpness saliency), the result forward, whose
-    maps go on to ``sink``, and the cost report its trajectory matches."""
+    maps go on to ``sink``, and the cost report its trajectory matches.
+
+    The mode's reducer comes from RunConfig.reducers. With a pool from
+    _inputs, the reduced forward goes to its worker, unless the mode has
+    no reducer (baseline: the clean forward is the result) or its
+    reducer ``reads_rollout`` (prune-rollout). This thread runs the
+    clean forward, each layer waiting only for its own weights, then
+    the rollout and the ratios, and last any reduced forward not on the
+    worker. The clean forward's sink keeps the head means, dropped once
+    the ratios are built, scores layer 0, and on a baseline run hands
+    each layer on to ``sink``. If this thread raises while the worker
+    holds the reduced forward, a queued one is cancelled and a running
+    one stops at its next layer's sink.
+    """
     cost = cfg.cost()
     reducer = cfg.reducers(None)[cfg.mode]
     spec, model_cfg = cfg.clip_spec(), cfg.model_config()
@@ -278,7 +260,12 @@ def _execute(cfg: RunConfig, sink=None):
 
 
 def run(cfg: RunConfig) -> RunResult:
-    """Execute one configured run and write its artifacts."""
+    """Execute one configured run and write its artifacts.
+
+    The result forward's sink writes each layer's attention dump into
+    the hidden directory and takes its metrics.csv mean_saliency, so no
+    map outlives its layer.
+    """
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     out_dir = out_root / cfg.run_id
@@ -371,17 +358,22 @@ def compare(run_dirs: list) -> tuple[list[str], list[list[str]]]:
 
     The first directory is the reference; feature_distance is the
     cosine distance between each run's pooled final features and the
-    reference's (exactly 0.0 for bit-identical features). A config.txt,
-    pooled.vtdr or metrics.csv that does not parse, or a token count
-    below 1, raises ArtifactError, and pooled features of another shape
-    than the reference's raise InvariantError.
+    reference's (exactly 0.0 for bit-identical features). A config.txt
+    that does not parse or fails validation, a pooled.vtdr or metrics.csv
+    that does not parse, or a token count below 1 raises ArtifactError
+    naming the file; clips that differ, or pooled features of another
+    shape than the reference's, raise InvariantError.
     """
     if len(run_dirs) < 2:
         raise InvariantError("compare needs at least 2 run directories")
-    try:
-        configs = [load_config(Path(d) / "config.txt") for d in run_dirs]
-    except ConfigError as e:  # the message names the file
-        raise ArtifactError(str(e)) from None
+    configs = []
+    for path in (Path(d) / "config.txt" for d in run_dirs):
+        try:
+            configs.append(load_config(path))
+        except ConfigError as e:  # the message names the file
+            raise ArtifactError(str(e)) from None
+        except InvariantError as e:
+            raise ArtifactError(f"{path}: {e}") from None
     ref = configs[0]
     for d, c in zip(run_dirs[1:], configs[1:]):
         bad = [f for f in CLIP_IDENTITY if getattr(c, f) != getattr(ref, f)]

@@ -93,31 +93,21 @@ def sharpness_saliency(probs) -> np.ndarray:
     return (h - lo) / (hi - lo)
 
 
-def background_mask(raw) -> tuple[np.ndarray, float]:
-    """Foreground mask and the mean score it cuts at.
-
-    A token is foreground iff its score is strictly above the mean.
-    Returns (boolean mask, mean).
-    """
-    s = np.asarray(raw, dtype=np.float64).reshape(-1)
-    mean = float(s.mean())
-    return s > mean, mean
-
-
 def masked_saliency(raw) -> np.ndarray:
     """Background-suppressed saliency of raw scores, rescaled to peak at 1.
 
-    background_mask cuts the scores at their mean. Masked-out tokens
-    get 0; the rest get (s - mean) / max over the kept set. If the mask
-    keeps nothing (all scores equal), every token gets 1, which
-    degrades saliency-aware merging to plain mass-weighted merging.
+    A token is foreground iff its score is strictly above the mean of
+    the scores. Background tokens get 0; the rest get (s - mean) / max
+    over the foreground. If nothing is foreground (all scores equal),
+    every token gets 1, which degrades saliency-aware merging to plain
+    mass-weighted merging.
     """
     s = np.asarray(raw, dtype=np.float64).reshape(-1)
-    m, mean = background_mask(s)
-    if not m.any():
+    mean = float(s.mean())
+    shifted = np.where(s > mean, s - mean, 0.0)  # s - mean > 0 exactly where s > mean
+    if not shifted.any():
         return np.ones_like(s)
-    shifted = np.where(m, s - mean, 0.0)
-    return shifted / float(shifted.max())  # positive: a kept score exceeds the mean
+    return shifted / float(shifted.max())
 
 
 def frame_score_ratio(scores, frame_of, n_groups: int) -> np.ndarray:

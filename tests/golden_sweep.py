@@ -13,12 +13,11 @@ each at run.seed 1 and 20240318 with both dumps on. It hashes every
 artifact of each run (metrics.csv without its wall_ms column), the
 final features, masses and owner map of both forwards in the returned
 RunResult, and those of ``runner.clean_forward``. It runs every config
-twice, with the thread gate forced open (CONCURRENT_MIN_MACS = 0, so
-every call streams its weights on one pool worker, which then runs the
-reduced forward where the mode overlaps) and forced closed (no call
-starts a thread), and checks that each path submitted the tasks the
-gate asks for and produced the table in golden_sweep.json. The gate
-reads the run's MACs alone, so the check means the same on any host.
+twice, with the thread gate forced open (CONCURRENT_MIN_MACS = 0: every
+call takes runner's two-thread plan) and forced closed (no call starts
+a thread), and checks that each path submitted the tasks the gate asks
+for and produced the table in golden_sweep.json. The gate reads the
+run's MACs alone, so the check means the same on any host.
 
 Not collected by pytest: both gates over both seeds take about a
 minute. ``test_golden.py`` runs the first seed of the big set with the
@@ -28,7 +27,10 @@ on sys.path itself, so it runs from a plain checkout:
     python tests/golden_sweep.py            # check; exit 1 on a moved digest
     python tests/golden_sweep.py --record   # rewrite golden_sweep.json
 
-Each gate's report lists the moved keys, then one count per artifact
+The report opens with the path the sweep ran on: numpy's version, its
+SIMD baseline and the dispatch targets it runs on this host, and
+NPY_DISABLE_CPU_FEATURES and OPENBLAS_CORETYPE when set. Each gate's
+report then lists the moved keys, then one count per artifact
 name (the key after its shape, seed, pattern and mode, such as
 ``frame_ratio.csv: 60`` or ``run.clean/features: 4``), so one line shows
 which files a change moved. Re-record the table only for an intended
@@ -58,6 +60,9 @@ from vidtldr.harness.config import MODES, parse_config_text
 from test_golden import _digest
 
 TABLE = Path(__file__).with_name("golden_sweep.json")
+# The modes that submit no reduced forward to the pool worker: baseline
+# has none, and prune-rollout's reads the clean forward's rollout.
+SERIAL_MODES = ("baseline", "prune-rollout")
 SEEDS = (1, 20240318)
 BIG = "clip.frames = 16\nclip.height = 112\nclip.width = 112\nmodel.width = 128\n"
 SHAPES = {
@@ -134,7 +139,7 @@ def sweep(open_: bool, seeds=SEEDS, shapes=tuple(SHAPES)) -> dict[str, str]:
             out.update(_state_digests(f"{name}/run.result", res.final_state))
             clean, _, _ = runner.clean_forward(cfg)
             out.update(_state_digests(f"{name}/clean_forward", clean.final_state))
-            serial = cfg.mode in ("baseline", "prune-rollout")
+            serial = cfg.mode in SERIAL_MODES
             tasks += [["draw"] if serial else ["draw", "reduced"], ["draw"]]
     got = [(pool.max_workers, pool.tasks) for pool in started]
     if got != ([(1, t) for t in tasks] if open_ else []):
@@ -143,12 +148,29 @@ def sweep(open_: bool, seeds=SEEDS, shapes=tuple(SHAPES)) -> dict[str, str]:
     return out
 
 
+def host_path() -> str:
+    """numpy's version, its SIMD baseline and the dispatch targets it runs
+    on this host, and the environment variables that pick other kernels."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    dispatch = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    env = [f"{var}={os.environ[var]!r}"
+           for var in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE") if var in os.environ]
+    return ", ".join([
+        f"numpy {np.__version__}", f"SIMD baseline {' '.join(umath.__cpu_baseline__)}",
+        f"dispatch {' '.join(dispatch) or 'none'}", *env,
+    ])
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--record", action="store_true", help="rewrite the digest table")
     args = ap.parse_args()
     expected = None if args.record else json.loads(TABLE.read_text())
     bad = 0
+    print(host_path())
     with tempfile.TemporaryDirectory() as d:
         os.chdir(d)
         for open_ in (False, True):

@@ -8,11 +8,10 @@ before asserting, so a plain `pytest -v tests/test_acceptance.py` run
 shows every measured margin even when a criterion fails.
 """
 
-import csv
-
 import numpy as np
 
 from oracles import oracle_mass_update, oracle_match, oracle_merge
+from test_golden import deterministic_bytes
 from vidtldr import costmodel, merging, numerics, saliency
 from vidtldr.harness import runner
 from vidtldr.harness.clips import PATTERNS, SynthClip, synth_clip
@@ -365,25 +364,14 @@ def test_criterion_10_run_determinism(tmp_path, capsys):
     cfg = parse_config_text(text)
     first = runner.run(cfg)
     names = sorted(p.name for p in first.out_dir.iterdir())
-    snapshot = {name: (first.out_dir / name).read_bytes() for name in names}
+    snapshot = {name: deterministic_bytes(first.out_dir / name) for name in names}
     second = runner.run(cfg)
-
-    def metrics_sans_wall(blob):
-        rows = list(csv.reader(blob.decode().splitlines()))
-        return [row[:-1] for row in rows]
+    same = {name: deterministic_bytes(second.out_dir / name) == snapshot[name] for name in names}
 
     tensor_names = [n for n in names if n.endswith(".vtdr")]
-    csv_ok = metrics_sans_wall(snapshot["metrics.csv"]) == metrics_sans_wall(
-        (second.out_dir / "metrics.csv").read_bytes()
-    )
-    tensors_ok = all(
-        (second.out_dir / n).read_bytes() == snapshot[n] for n in tensor_names
-    )
-    rest_ok = all(
-        (second.out_dir / n).read_bytes() == snapshot[n]
-        for n in names
-        if n not in tensor_names and n != "metrics.csv"
-    )
+    csv_ok = same["metrics.csv"]
+    tensors_ok = all(same[n] for n in tensor_names)
+    rest_ok = all(same[n] for n in names if n not in tensor_names and n != "metrics.csv")
     ok = csv_ok and tensors_ok and rest_ok
     detail = (
         f"metrics identical sans wall_ms: {csv_ok}, "

@@ -107,6 +107,28 @@ def test_dump_saliency_command(tmp_path, capsys):
     assert sal.shape == (4, 8)
 
 
+@pytest.mark.parametrize("mode", ["vidtldr", "prune-rollout"])
+def test_temporal_bias_of_a_reducing_config_is_its_runs_table(tmp_path, capsys, mode):
+    cfg = write_cfg(tmp_path, "a.cfg", mode=mode)
+    assert cli.main(["temporal-bias", str(cfg)]) == cli.EXIT_OK
+    printed = capsys.readouterr().out
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_OK
+    run_dir = Path(capsys.readouterr().out.strip().split("out=")[1])
+    assert printed.encode() == (run_dir / "frame_ratio.csv").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["vidtldr", "prune-rollout"])
+def test_dump_saliency_of_a_reducing_config_is_its_clips_baseline(tmp_path, capsys, mode):
+    reducing = write_cfg(tmp_path, "a.cfg", mode=mode)
+    baseline = write_cfg(tmp_path, "base.cfg", mode="baseline", schedule="")
+    dumps = []
+    for cfg in (reducing, baseline):
+        assert cli.main(["dump-saliency", str(cfg)]) == cli.EXIT_OK
+        dumps.append(Path(capsys.readouterr().out.splitlines()[-1].removeprefix("wrote ")))
+    assert dumps[0] != dumps[1]
+    assert dumps[0].read_bytes() == dumps[1].read_bytes()
+
+
 def test_compare_command(tmp_path, capsys):
     a = write_cfg(tmp_path, "a.cfg", mode="baseline", schedule="")
     b = write_cfg(tmp_path, "b.cfg", mode="tome")
@@ -205,6 +227,25 @@ def test_compare_unparsable_config_exit_code(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("io error") and err.count("\n") == 1
     assert err.count(str(config)) == 1
+
+
+@pytest.mark.parametrize("edit", [
+    ("run.schedule = 2,2", "run.schedule = 2,9"),
+    ("clip.frames = 4", "clip.frames = 7"),
+    ("run.mode = tome", "run.mode = baseline"),
+], ids=["infeasible-schedule", "geometry", "baseline-with-schedule"])
+def test_compare_invalid_config_exit_code(tmp_path, capsys, edit):
+    """A config.txt that parses but fails validation is a bad artifact."""
+    dirs = _two_runs(tmp_path, capsys)
+    config = tmp_path / "out" / dirs[1].split("/")[-1] / "config.txt"
+    text = config.read_text()
+    assert edit[0] in text
+    config.write_text(text.replace(*edit))
+    assert cli.main(["compare"] + dirs) == cli.EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("io error") and captured.err.count("\n") == 1
+    assert captured.err.count(str(config)) == 1
 
 
 def test_compare_header_only_metrics_exit_code(tmp_path, capsys):

@@ -4,16 +4,14 @@ Six modes on three patterns at an 18-token shape, one run with both
 dumps, and the two merging modes on moving-blob at the 64-token,
 width-64 desk shape are checked against the SHA-256 of each artifact
 recorded in golden_digests.json. The desk runs lock the similarity
-sums at a width where summation order matters most. metrics.csv is
-hashed without its wall_ms column, the one value outside the
-determinism contract.
+sums at a width where summation order matters most. Each digest is of
+``deterministic_bytes``: metrics.csv without its wall_ms column, the
+one value outside the determinism contract, and any other file whole.
 
 The golden shapes sit below runner.CONCURRENT_MIN_MACS, so one test
-runs the matrix again with the gate at 0, where every run uses two
-threads: its one pool worker draws the weights while the clean forward
-reads them on the calling thread, then runs the reduced forward where
-the mode allows it. The gate reads the run's MACs alone, so this path
-is the same on any host.
+runs the matrix again with the gate at 0, where every run takes
+runner's two-thread plan. The gate reads the run's MACs alone, so this
+path is the same on any host.
 
 The table must also hold under another BLAS kernel: one test runs the
 matrix in a child process with OPENBLAS_CORETYPE=Prescott, which
@@ -103,15 +101,21 @@ def _runs():
         )
 
 
-def _digest(path: Path) -> str:
+def deterministic_bytes(path: Path) -> bytes:
+    """An artifact's bytes that a fixed config fixes: metrics.csv without
+    its wall_ms column, found by name; any other file whole."""
     data = path.read_bytes()
-    if path.name == "metrics.csv":
-        rows = list(csv.reader(io.StringIO(data.decode())))
-        col = rows[0].index("wall_ms")
-        buf = io.StringIO()
-        csv.writer(buf).writerows([r[:col] + r[col + 1:] for r in rows])
-        data = buf.getvalue().encode()
-    return hashlib.sha256(data).hexdigest()
+    if path.name != "metrics.csv":
+        return data
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    col = rows[0].index("wall_ms")
+    buf = io.StringIO()
+    csv.writer(buf).writerows([r[:col] + r[col + 1:] for r in rows])
+    return buf.getvalue().encode()
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(deterministic_bytes(path)).hexdigest()
 
 
 def artifact_digests() -> dict[str, str]:
@@ -140,7 +144,7 @@ def test_digests_hold_on_the_concurrent_path(tmp_path, monkeypatch):
     with golden_sweep.gate(True) as pools:
         assert artifact_digests() == json.loads(TABLE.read_text())
     runs = [name for name, _ in _runs()]
-    serial = {"baseline", "prune-rollout"}
+    serial = set(golden_sweep.SERIAL_MODES)
     overlapping = [name for name in runs if not serial & set(name.split("/"))]
     assert len(runs) == 21 and len(overlapping) == 15
     assert len(pools) == len(runs) and all(pool.max_workers == 1 for pool in pools)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import golden_sweep
+from test_golden import deterministic_bytes
 from vidtldr import costmodel, merging, model, saliency
 from vidtldr.harness import clips, runner, tensorio
 from vidtldr.harness.config import MODES, InvariantError, load_config, parse_config_text
@@ -173,22 +174,11 @@ def test_optional_dumps(tmp_path):
 def test_repeat_run_is_reproducible(tmp_path):
     cfg = make_cfg(tmp_path, extra="dump.tokens = true\n")
     first = runner.run(cfg)
-    snapshot = {
-        name: (first.out_dir / name).read_bytes()
-        for name in ("config.txt", "frame_ratio.csv", "mass.csv", "pooled.vtdr", "tokens.vtdr")
-    }
-    metrics_first = [
-        {k: v for k, v in row.items() if k != "wall_ms"}
-        for row in read_csv(first.out_dir / "metrics.csv")
-    ]
+    snapshot = {path.name: deterministic_bytes(path) for path in first.out_dir.iterdir()}
+    assert len(snapshot) == 7
     second = runner.run(cfg)
     for name, blob in snapshot.items():
-        assert (second.out_dir / name).read_bytes() == blob, name
-    metrics_second = [
-        {k: v for k, v in row.items() if k != "wall_ms"}
-        for row in read_csv(second.out_dir / "metrics.csv")
-    ]
-    assert metrics_first == metrics_second
+        assert deterministic_bytes(second.out_dir / name) == blob, name
 
 
 def test_compare_identical_run_has_zero_distance(tmp_path):
@@ -426,7 +416,7 @@ def test_large_runs_draw_weights_on_a_second_thread(tmp_path, executors, mode):
     threads = threading.active_count()
     cfg = _mode_cfg(tmp_path, mode)
     res = runner.run(cfg)
-    overlapped = mode not in ("baseline", "prune-rollout")
+    overlapped = mode not in golden_sweep.SERIAL_MODES
     assert [e.tasks for e in executors] == [["draw", "reduced"] if overlapped else ["draw"]]
     runner.clean_forward(cfg)
     assert [e.tasks for e in executors][1:] == [["draw"]]
@@ -473,12 +463,7 @@ def test_the_thread_plan_does_not_depend_on_the_host(tmp_path, monkeypatch):
     assert names == sorted(p.name for p in child_dir.iterdir())
     assert len(names) == 11
     for name in names:
-        mine, theirs = (d / name for d in (res.out_dir, child_dir))
-        if name == "metrics.csv":  # wall_ms aside
-            mine, theirs = ([r[:-1] for r in csv.reader(p.read_text().splitlines())]
-                            for p in (mine, theirs))
-        else:
-            mine, theirs = mine.read_bytes(), theirs.read_bytes()
+        mine, theirs = (deterministic_bytes(d / name) for d in (res.out_dir, child_dir))
         assert mine == theirs, name
 
 
@@ -570,45 +555,20 @@ def test_weight_stream_equals_init_weights():
         assert all(x is y for x, y in zip(arrays, _weight_arrays(drawn)))
 
 
-def test_weight_stream_failure_reaches_every_reader(monkeypatch):
-    cfg = ModelConfig(width=16, heads=2, layers=4)
-    real = model.init_weights
-
-    def fail_on_piece_2(cfg, spec, seed, publish):
-        def publish_or_fail(piece):
-            if len(published) == 2:
-                raise Boom("raised on purpose")
-            published.append(piece)
-            publish(piece)
-
-        return real(cfg, spec, seed, publish=publish_or_fail)
-
-    published = []
-    monkeypatch.setattr(model, "init_weights", fail_on_piece_2)
-    stream = runner.WeightStream(cfg.layers)
-    readers = [lambda: list(stream.layers), lambda: stream.embed, lambda: list(stream.layers)]
-    *reads, drawn = _in_threads(*readers, lambda: stream.draw(cfg, SMALL, 3))
-    assert isinstance(reads[0], Boom) and isinstance(reads[2], Boom) and isinstance(drawn, Boom)
-    assert reads[1] is published[0]
-    layers = stream.layers
-    assert next(layers) is published[1]
-    with pytest.raises(Boom):
-        next(layers)
-
-
 class Halt(BaseException):
     """An error that is not an Exception."""
 
 
-def test_weight_stream_failure_that_is_no_exception_reaches_every_reader(monkeypatch):
+@pytest.mark.parametrize("error", [Boom, Halt])
+def test_weight_stream_failure_reaches_every_reader(monkeypatch, error):
     cfg = ModelConfig(width=16, heads=2, layers=4)
     real = model.init_weights
-    halt = Halt("raised on purpose")
+    raised = error("raised on purpose")
 
     def fail_on_piece_2(cfg, spec, seed, publish):
         def publish_or_fail(piece):
             if len(published) == 2:
-                raise halt
+                raise raised
             published.append(piece)
             publish(piece)
 
@@ -619,13 +579,13 @@ def test_weight_stream_failure_that_is_no_exception_reaches_every_reader(monkeyp
     stream = runner.WeightStream(cfg.layers)
     readers = [lambda: list(stream.layers), lambda: stream.embed, lambda: list(stream.layers)]
     *reads, drawn = _in_threads(*readers, lambda: stream.draw(cfg, SMALL, 3))
-    assert reads[0] is halt and reads[2] is halt and drawn is halt
+    assert reads[0] is raised and reads[2] is raised and drawn is raised
     assert reads[1] is published[0]
     layers = stream.layers
     assert next(layers) is published[1]
-    with pytest.raises(Halt) as raised:
+    with pytest.raises(error) as caught:
         next(layers)
-    assert raised.value is halt
+    assert caught.value is raised
 
 
 @pytest.mark.parametrize("where", ["reduced", "clean"])
@@ -888,7 +848,7 @@ def test_results_hold_no_per_head_tensors(tmp_path, request, mode, dump, gate):
     )
     res = runner.run(cfg)
     if gate == "overlapped":
-        overlapped = mode not in ("baseline", "prune-rollout")
+        overlapped = mode not in golden_sweep.SERIAL_MODES
         assert [e.tasks for e in started] == [["draw", "reduced"] if overlapped else ["draw"]]
     if mode == "baseline":
         assert res.result is res.clean

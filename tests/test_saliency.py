@@ -221,17 +221,6 @@ def test_sharpness_orders_by_majorization():
     assert s[0] > s[3] > s[1] > s[2]
 
 
-def test_background_mask_hand_case():
-    mask, mean = saliency.background_mask([0.9, 0.8, 0.1, 0.2])
-    assert mean == pytest.approx(0.5, abs=1e-12)
-    assert_array_equal(mask, [True, True, False, False])
-
-
-def test_background_mask_is_strict():
-    mask, _ = saliency.background_mask([0.5, 0.5, 0.5])
-    assert not mask.any()
-
-
 def test_masked_saliency_hand_case():
     out = saliency.masked_saliency(np.array([0.9, 0.8, 0.1, 0.2]))
     assert_allclose(out, [1.0, 0.75, 0.0, 0.0], rtol=0, atol=1e-12)
@@ -257,8 +246,8 @@ def test_score_map_invariants():
     for _ in range(10):
         probs = random_stochastic(rng, 9)
         raw = saliency.sharpness_saliency(probs)
-        mask, _ = saliency.background_mask(raw)
-        masked = saliency.masked_saliency(saliency.sharpness_saliency(probs))
+        mask = raw > raw.mean()
+        masked = saliency.masked_saliency(raw)
         assert raw.min() == 0.0
         assert raw.max() == 1.0
         assert (masked[~mask] == 0.0).all()
